@@ -7,8 +7,8 @@ package angluin
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
-	"strings"
 
 	"repro/internal/pathre"
 )
@@ -30,18 +30,16 @@ type Teacher interface {
 	Equivalent(hypothesis *pathre.DFA) (counterexample []string, ok bool, err error)
 }
 
-// KeyedTeacher is an optional Teacher extension. MemberKeyed is Member
-// with the word's canonical cache key — strings.Join(word, "\x00") —
-// already materialized: the learner tracks every word it asks about as
-// an integer trie node, so a teacher that maintains its own word-keyed
-// answer cache can probe and insert with the one key string the learner
-// materializes at the teacher boundary instead of re-joining the word
-// (that join is a per-query allocation that tops whole-benchmark
-// profiles). The word-validity contract is Member's; the key may be
-// retained.
-type KeyedTeacher interface {
+// IDTeacher is an optional Teacher extension. MemberID is Member with
+// the word's ID in the Words the learner runs over (see Words and
+// WithWords): the learner tracks every word it asks about as a trie
+// node anyway, so a teacher that keeps its own per-word answer state
+// can index it by the ID instead of hashing the word. IDs are stable
+// for the life of the Words, across Learn calls. The word-validity
+// contract is Member's.
+type IDTeacher interface {
 	Teacher
-	MemberKeyed(word []string, key string) (bool, error)
+	MemberID(word []string, id int32) (bool, error)
 }
 
 // Stats counts the queries the learner issued. Membership queries are
@@ -84,47 +82,52 @@ func WithMaxEquivalenceQueries(n int) Option {
 	return func(l *learner) { l.maxEQ = n }
 }
 
-// WithSymbolTable hands the learner a shared symbol intern table (see
-// SymbolTable). Sessions learning over the same document should pass
-// the bundle's table so the alphabet is interned once per document, not
-// once per fragment; a nil table is ignored and the learner builds a
-// private one.
-func WithSymbolTable(t *SymbolTable) Option {
-	return func(l *learner) {
-		if t != nil {
-			l.tab = t
-		}
-	}
+// WithWords runs the learner over a caller-owned word intern, built by
+// NewWords for the same alphabet. The IDs the teacher receives (see
+// IDTeacher) are the Words' node IDs, so a caller that learns one
+// target over several Learn calls passes the same Words to each and
+// keeps its ID-indexed answer state valid across them. Without this
+// option the learner interns into a pooled private Words it releases
+// on return.
+func WithWords(w *Words) Option {
+	return func(l *learner) { l.tr = w }
 }
 
 // Learn runs L* over the given alphabet against the teacher and returns
 // the learned minimal DFA.
 func Learn(alphabet []string, t Teacher, opts ...Option) (*pathre.DFA, Stats, error) {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	return learnIn(sc, alphabet, t, opts...)
+}
+
+// learnIn is Learn over the given scratch.
+func learnIn(sc *scratch, alphabet []string, t Teacher, opts ...Option) (*pathre.DFA, Stats, error) {
 	l := &learner{
 		alphabet: append([]string(nil), alphabet...),
 		teacher:  t,
 		maxEQ:    1000,
 	}
-	l.keyed, _ = t.(KeyedTeacher)
+	l.ids, _ = t.(IDTeacher)
 	l.batch, _ = t.(BatchTeacher)
-	l.kbatch, _ = t.(KeyedBatchTeacher)
+	l.bids, _ = t.(IDBatchTeacher)
 	l.spec, _ = t.(Speculator)
 	for _, o := range opts {
 		o(l)
 	}
-	if l.tab == nil {
-		l.tab = NewSymbolTable()
+	if l.tr == nil {
+		l.tr = NewWords(nil, l.alphabet)
+		defer l.tr.Release()
+	} else if !l.tr.hasAlphabet(l.alphabet) {
+		return nil, Stats{}, errWordsAlphabet
 	}
-	sc, _ := scratchPool.Get().(*scratch)
 	l.adopt(sc)
-	defer func() {
-		l.release(sc)
-		scratchPool.Put(sc)
-	}()
-	l.tr.init(l.tab, l.alphabet)
+	defer l.release(sc)
 	l.grow()
 	return l.run()
 }
+
+var errWordsAlphabet = errors.New("angluin: Words built for a different alphabet")
 
 // Membership-table cell states: the table is a dense array indexed by
 // trie node ID, so a probe is one load instead of a string-keyed map
@@ -138,29 +141,27 @@ const (
 type learner struct {
 	alphabet []string
 	teacher  Teacher
-	// keyed is teacher's KeyedTeacher form when it implements one (nil
-	// otherwise); membership misses prefer it, passing the cache key
-	// materialized at the ask.
-	keyed KeyedTeacher
-	// batch/kbatch are the teacher's batch forms when implemented: the
+	// ids is teacher's IDTeacher form when it implements one (nil
+	// otherwise); membership misses prefer it, passing the word's ID.
+	ids IDTeacher
+	// batch/bids are the teacher's batch forms when implemented: the
 	// closedness scan then prefills whole query sets per round trip
 	// (see batch.go) instead of asking cell by cell. spec is the
 	// teacher's speculation hook, offered in-flight cells.
 	batch   BatchTeacher
-	kbatch  KeyedBatchTeacher
+	bids    IDBatchTeacher
 	spec    Speculator
 	initial []string
 	maxEQ   int
 
 	// Word interning. Every access string, one-symbol extension, and
-	// asked word is a node of an integer parent-chain trie (see
-	// trie.go); all per-word state below is indexed by node ID, so the
-	// scans that dominate L* — closedness, consistency, hypothesis
-	// extraction — and the membership-table probes run on integer
-	// lookups with zero string building. tab is the (possibly shared)
-	// symbol intern table behind the trie.
-	tab *SymbolTable
-	tr  trie
+	// asked word is a node of the Words trie; all per-word state below
+	// is indexed by node ID, so the scans that dominate L* — closedness,
+	// consistency, hypothesis extraction — and the membership-table
+	// probes run on integer lookups with zero string building. The
+	// trie may hold nodes from earlier Learn calls on the same Words;
+	// grow covers them with fresh per-call state.
+	tr *Words
 	// rowOf maps a node to its observation-table entry in rowEnts, -1
 	// until the node is first used as a table prefix. The indirection
 	// keeps the per-node cost at 4 bytes: only the prefixes of S and
@@ -197,26 +198,23 @@ type learner struct {
 	// closedness query set was batch-prefetched (see prefill); reset
 	// with the epoch.
 	prefilled int
-	// kb is a scratch buffer for the key strings materialized at the
-	// teacher boundary; wb is the matching scratch for the concatenated
-	// words handed to the teacher (the Teacher contract forbids
-	// retaining them).
-	kb []byte
+	// wb is the scratch for the words asked one at a time (the Teacher
+	// contract forbids retaining them).
 	wb []string
 	// Batch-wave scratch, reused across waves (see prefill): wvSyms
-	// flat-stores the wave's words back to back and wvOff/wvKOff record
-	// each word's start in wvSyms and in the key blob built in kb, so
-	// the per-word slice headers (wvWords/wvKeys) are materialized only
-	// after the flat buffers stop growing. Word slices carved from
+	// flat-stores the wave's words back to back and wvOff records each
+	// word's start, so the per-word slice headers (wvWords) are carved
+	// only after the flat buffer stops growing. Word slices carved from
 	// wvSyms are only valid for the batch call — exactly the Teacher
-	// word contract — while keys are substrings of one immutable blob
-	// string per wave, safe for the teacher to retain.
+	// word contract.
 	wvSyms  []string
 	wvOff   []int32
-	wvKOff  []int32
 	wvWords [][]string
-	wvKeys  []string
 	wvWids  []int32
+	// wbHigh/wvHigh/wvWordsHigh are the largest lengths wb, wvSyms and
+	// wvWords reached in this Learn: release clears the string-holding
+	// buffers only that far (see scratch.go).
+	wbHigh, wvHigh, wvWordsHigh int
 
 	stats Stats
 }
@@ -235,11 +233,9 @@ type rowEntry struct {
 	inS     bool
 }
 
-func key(w []string) string { return strings.Join(w, "\x00") }
-
 // grow extends the per-node side arrays to the trie's node count.
 func (l *learner) grow() {
-	for len(l.rowOf) < l.tr.len() {
+	for len(l.rowOf) < l.tr.Len() {
 		l.rowOf = append(l.rowOf, -1)
 		l.ans = append(l.ans, ansUnknown)
 		l.waveMark = append(l.waveMark, 0)
@@ -307,10 +303,8 @@ func (l *learner) walk(id int32, syms []int32) int32 {
 // internWord interns a word, resolving its symbols as needed
 // (counterexamples can contain symbols outside the alphabet).
 func (l *learner) internWord(w []string) int32 {
-	id := int32(0)
-	for _, s := range w {
-		id = l.node(id, l.tr.resolve(s))
-	}
+	id := l.tr.Intern(w)
+	l.grow()
 	return id
 }
 
@@ -339,11 +333,16 @@ func (l *learner) member(w []string) (bool, error) {
 	if v := l.ans[id]; v != ansUnknown {
 		return v == ansYes, nil
 	}
+	return l.ask(w, id)
+}
+
+// ask puts one membership query to the teacher — with the word's ID
+// when the teacher takes one — and charges and records the answer.
+func (l *learner) ask(w []string, id int32) (bool, error) {
 	var v bool
 	var err error
-	if l.keyed != nil {
-		l.kb = l.tr.appendKey(l.kb[:0], id)
-		v, err = l.keyed.MemberKeyed(w, string(l.kb))
+	if l.ids != nil {
+		v, err = l.ids.MemberID(w, id)
 	} else {
 		v, err = l.teacher.Member(w)
 	}
@@ -360,11 +359,10 @@ func (l *learner) member(w []string) (bool, error) {
 // E only grows, so the cached row stays correct column-for-column
 // forever: a call after a suffix was added probes just the new columns.
 // A cell's membership lookup walks the suffix symbols from the prefix
-// node — integer steps, no key building — and the concatenated word and
-// its key are materialized only when the teacher actually has to be
-// asked. The returned slice aliases the entry's growing buffer — valid
-// until the next row call for the same prefix, which callers never
-// interleave.
+// node — integer steps, no string building — and the concatenated word
+// is materialized only when the teacher actually has to be asked. The
+// returned slice aliases the entry's growing buffer — valid until the
+// next row call for the same prefix, which callers never interleave.
 func (l *learner) row(id int32) ([]byte, error) {
 	ent := l.rowEnt(id)
 	if len(ent.bits) == len(l.e) {
@@ -376,21 +374,10 @@ func (l *learner) row(id int32) ([]byte, error) {
 		if v == ansUnknown {
 			w := l.tr.appendWord(l.wb[:0], wid)
 			l.wb = w
-			var b bool
-			var err error
-			if l.keyed != nil {
-				// Materialize the cache key at the boundary so the keyed
-				// teacher's own cache skips re-joining the word.
-				l.kb = l.tr.appendKey(l.kb[:0], wid)
-				b, err = l.keyed.MemberKeyed(w, string(l.kb))
-			} else {
-				b, err = l.teacher.Member(w)
-			}
-			if err != nil {
+			l.wbHigh = max(l.wbHigh, len(w))
+			if _, err := l.ask(w, wid); err != nil {
 				return nil, err
 			}
-			l.stats.MembershipQueries++
-			l.setAns(wid, b)
 			v = l.ans[wid]
 		}
 		if v == ansYes {
@@ -452,6 +439,7 @@ func (l *learner) run() (*pathre.DFA, Stats, error) {
 		if err != nil {
 			return nil, l.stats, err
 		}
+		l.grow() // the teacher may have interned words into the Words
 		if ok {
 			return h, l.stats, nil
 		}

@@ -3,6 +3,7 @@ package angluin
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/pathre"
@@ -114,7 +115,7 @@ type countingTeacher struct {
 }
 
 func (t *countingTeacher) Member(w []string) (bool, error) {
-	t.asked[key(w)]++
+	t.asked[strings.Join(w, "\x00")]++
 	return t.perfectTeacher.Member(w)
 }
 

@@ -34,12 +34,12 @@ type BatchTeacher interface {
 	MemberBatch(words [][]string) ([]bool, error)
 }
 
-// KeyedBatchTeacher is the keyed form of BatchTeacher (see
-// KeyedTeacher): the learner passes the canonical cache key of every
-// word alongside, and keys may be retained.
-type KeyedBatchTeacher interface {
-	KeyedTeacher
-	MemberBatchKeyed(words [][]string, keys []string) ([]bool, error)
+// IDBatchTeacher is the ID form of BatchTeacher (see IDTeacher): the
+// learner passes every word's ID alongside, same index. The learner
+// never grows its Words while a batch is in flight.
+type IDBatchTeacher interface {
+	IDTeacher
+	MemberBatchIDs(words [][]string, ids []int32) ([]bool, error)
 }
 
 // Speculator is an optional extension of a batch teacher. While a
@@ -54,15 +54,14 @@ type KeyedBatchTeacher interface {
 // every speculated value against the landed answer and counts it kept
 // or discarded (Stats.SpeculationKept/SpeculationDiscarded).
 type Speculator interface {
-	SpeculateMember(word []string, key string) (ans bool, ok bool)
+	SpeculateMember(word []string, id int32) (ans bool, ok bool)
 }
 
 // SerialAdapter adapts any single-query Teacher to the batch seam by
 // asking the set in index order, one Member call per word — today's
 // single-query teachers (test doubles, replay logs, teacher.Sim used
 // serially) keep working unchanged behind it, with an unchanged
-// dialogue. It forwards the keyed fast path when the wrapped teacher
-// has one.
+// dialogue.
 type SerialAdapter struct{ T Teacher }
 
 func (a SerialAdapter) Member(w []string) (bool, error) { return a.T.Member(w) }
@@ -74,15 +73,8 @@ func (a SerialAdapter) Equivalent(h *pathre.DFA) ([]string, bool, error) {
 // MemberBatch answers the set serially, in index order.
 func (a SerialAdapter) MemberBatch(words [][]string) ([]bool, error) {
 	out := make([]bool, len(words))
-	keyed, _ := a.T.(KeyedTeacher)
 	for i, w := range words {
-		var v bool
-		var err error
-		if keyed != nil {
-			v, err = keyed.MemberKeyed(w, key(w))
-		} else {
-			v, err = a.T.Member(w)
-		}
+		v, err := a.T.Member(w)
 		if err != nil {
 			return nil, err
 		}
@@ -94,56 +86,57 @@ func (a SerialAdapter) MemberBatch(words [][]string) ([]bool, error) {
 // askWave ships one query set to the batch teacher and commits the
 // answers by index: l.ans[wids[i]] = answers[i], one membership-query
 // charge per word, exactly as the serial learner would have charged
-// asking the same cells one at a time. The wire call runs on its own
-// goroutine with a buffered result channel — if the teacher aborts on a
-// canceled session the goroutine still completes its send and exits, so
-// cancellation mid-batch leaks nothing. While the round trip is in
-// flight, the calling goroutine offers the same set to the teacher's
-// Speculator (when it has one) and reconciles the precomputed values
-// against the landed answers.
-func (l *learner) askWave(words [][]string, keys []string, wids []int32) error {
+// asking the same cells one at a time. Without a Speculator the call is
+// synchronous. With one, the call runs on its own goroutine with a
+// buffered result channel — if the teacher aborts on a canceled session
+// the goroutine still completes its send and exits, so cancellation
+// mid-batch leaks nothing — and while the round trip is in flight the
+// calling goroutine offers the same set to the Speculator and
+// reconciles the precomputed values against the landed answers.
+func (l *learner) askWave(words [][]string, wids []int32) error {
 	if len(words) == 0 {
 		return nil
 	}
-	type batchRes struct {
-		ans []bool
-		err error
-	}
-	ch := make(chan batchRes, 1)
-	go func() {
-		var a []bool
-		var err error
-		if l.kbatch != nil {
-			a, err = l.kbatch.MemberBatchKeyed(words, keys)
-		} else {
-			a, err = l.batch.MemberBatch(words)
-		}
-		ch <- batchRes{a, err}
-	}()
+	var ans []bool
 	var parked map[int]bool
-	if l.spec != nil {
-		parked = make(map[int]bool, len(words))
+	var err error
+	if l.spec == nil {
+		ans, err = l.memberBatch(words, wids)
+	} else {
+		type batchRes struct {
+			ans []bool
+			err error
+		}
+		ch := make(chan batchRes, 1)
+		go func() {
+			a, err := l.memberBatch(words, wids)
+			ch <- batchRes{a, err}
+		}()
 		for i, w := range words {
-			if v, ok := l.spec.SpeculateMember(w, keys[i]); ok {
+			if v, ok := l.spec.SpeculateMember(w, wids[i]); ok {
+				if parked == nil {
+					parked = make(map[int]bool, len(words)-i)
+				}
 				parked[i] = v
 				l.stats.Speculated++
 			}
 		}
+		r := <-ch
+		ans, err = r.ans, r.err
 	}
-	r := <-ch
-	if r.err != nil {
-		return r.err
+	if err != nil {
+		return err
 	}
-	if len(r.ans) != len(words) {
-		return fmt.Errorf("angluin: batch teacher answered %d of %d queries", len(r.ans), len(words))
+	if len(ans) != len(words) {
+		return fmt.Errorf("angluin: batch teacher answered %d of %d queries", len(ans), len(words))
 	}
 	l.stats.BatchRounds++
 	l.stats.BatchedQueries += len(words)
 	for i, wid := range wids {
-		l.setAns(wid, r.ans[i])
+		l.setAns(wid, ans[i])
 		l.stats.MembershipQueries++
 		if v, ok := parked[i]; ok {
-			if v == r.ans[i] {
+			if v == ans[i] {
 				l.stats.SpeculationKept++
 			} else {
 				l.stats.SpeculationDiscarded++
@@ -151,6 +144,15 @@ func (l *learner) askWave(words [][]string, keys []string, wids []int32) error {
 		}
 	}
 	return nil
+}
+
+// memberBatch makes one batch round trip, through the ID form when the
+// teacher has one.
+func (l *learner) memberBatch(words [][]string, wids []int32) ([]bool, error) {
+	if l.bids != nil {
+		return l.bids.MemberBatchIDs(words, wids)
+	}
+	return l.batch.MemberBatch(words)
 }
 
 // prefill emits the query set a pending closedness check needs — every
@@ -165,20 +167,17 @@ func (l *learner) askWave(words [][]string, keys []string, wids []int32) error {
 func (l *learner) prefill() error {
 	from := l.prefilled
 	l.prefilled = len(l.s)
-	if l.batch == nil && l.kbatch == nil {
+	if l.batch == nil && l.bids == nil {
 		return nil
 	}
 	l.waveEpoch++
 	// Collect into the reused flat scratch: word symbols back to back in
-	// wvSyms, key bytes back to back in kb, per-word start offsets
-	// alongside. Appends may move the flat buffers, so the per-word
-	// headers are carved only after collection finishes — the whole wave
-	// then costs a bounded handful of allocations (buffer growth plus
-	// one key blob) instead of a word slice and a key string per query.
+	// wvSyms, per-word start offsets alongside. Appends may move the
+	// flat buffer, so the per-word headers are carved only after
+	// collection finishes — the whole wave then costs no allocation
+	// once the buffers have grown, instead of a word slice per query.
 	l.wvSyms = l.wvSyms[:0]
-	l.kb = l.kb[:0]
 	l.wvOff = l.wvOff[:0]
-	l.wvKOff = l.wvKOff[:0]
 	l.wvWids = l.wvWids[:0]
 	collect := func(id int32) {
 		ent := l.rowEnt(id)
@@ -190,8 +189,6 @@ func (l *learner) prefill() error {
 			l.waveMark[wid] = l.waveEpoch
 			l.wvOff = append(l.wvOff, int32(len(l.wvSyms)))
 			l.wvSyms = l.tr.appendWord(l.wvSyms, wid)
-			l.wvKOff = append(l.wvKOff, int32(len(l.kb)))
-			l.kb = l.tr.appendKey(l.kb, wid)
 			l.wvWids = append(l.wvWids, wid)
 		}
 	}
@@ -215,20 +212,15 @@ func (l *learner) prefill() error {
 	if cap(words) < n {
 		words = make([][]string, 0, n)
 	}
-	keys := l.wvKeys[:0]
-	if cap(keys) < n {
-		keys = make([]string, 0, n)
-	}
-	blob := string(l.kb)
 	for i := 0; i < n; i++ {
-		we, ke := int32(len(l.wvSyms)), int32(len(blob))
+		we := int32(len(l.wvSyms))
 		if i+1 < n {
-			we, ke = l.wvOff[i+1], l.wvKOff[i+1]
+			we = l.wvOff[i+1]
 		}
-		ws := l.wvOff[i]
-		words = append(words, l.wvSyms[ws:we:we])
-		keys = append(keys, blob[l.wvKOff[i]:ke])
+		words = append(words, l.wvSyms[l.wvOff[i]:we:we])
 	}
-	l.wvWords, l.wvKeys = words, keys
-	return l.askWave(words, keys, l.wvWids)
+	l.wvWords = words
+	l.wvHigh = max(l.wvHigh, len(l.wvSyms))
+	l.wvWordsHigh = max(l.wvWordsHigh, n)
+	return l.askWave(words, l.wvWids)
 }

@@ -70,7 +70,7 @@ type speculatingTeacher struct {
 	poison string
 }
 
-func (t *speculatingTeacher) SpeculateMember(word []string, key string) (bool, bool) {
+func (t *speculatingTeacher) SpeculateMember(word []string, _ int32) (bool, bool) {
 	v := t.target.Accepts(word)
 	for _, s := range word {
 		if s == t.poison {

@@ -12,7 +12,6 @@ package angluin
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/pathre"
 )
@@ -33,9 +32,9 @@ func (n *ctNode) isLeaf() bool { return n.yes == nil && n.no == nil }
 type kvLearner struct {
 	alphabet []string
 	teacher  Teacher
-	// keyed is teacher's KeyedTeacher form when implemented (see Learn).
-	keyed KeyedTeacher
-	// batch/kbatch/spec are the teacher's batch-protocol forms (see
+	// ids is teacher's IDTeacher form when implemented (see Learn).
+	ids IDTeacher
+	// batch/bids/spec are the teacher's batch-protocol forms (see
 	// batch.go). KV's sift chain is adaptive — each probe depends on the
 	// previous answer — so unlike L*'s table fills the probes cannot be
 	// merged into multi-query sets without reordering the dialogue;
@@ -44,18 +43,20 @@ type kvLearner struct {
 	// probes (the yes- and no-child suffixes) against the teacher's
 	// local knowledge, reconciling parked values when the probes are
 	// actually asked.
-	batch  BatchTeacher
-	kbatch KeyedBatchTeacher
-	spec   Speculator
-	// parked holds speculated successor-probe answers by word key,
+	batch BatchTeacher
+	bids  IDBatchTeacher
+	spec  Speculator
+	// words interns every probe; cache and parked are keyed by its IDs.
+	words *Words
+	// parked holds speculated successor-probe answers by word ID,
 	// reconciled (kept/discarded) when the probe is asked; leftovers
 	// are discarded when the run ends.
-	parked  map[string]bool
+	parked  map[int32]bool
 	maxEQ   int
 	initial []string
 
 	root  *ctNode
-	cache map[string]bool
+	cache map[int32]bool
 	stats Stats
 }
 
@@ -70,14 +71,21 @@ func LearnKV(alphabet []string, t Teacher, opts ...Option) (*pathre.DFA, Stats, 
 	k := &kvLearner{
 		alphabet: append([]string(nil), alphabet...),
 		teacher:  t,
+		words:    shim.tr,
 		maxEQ:    shim.maxEQ,
 		initial:  shim.initial,
-		cache:    map[string]bool{},
+		cache:    map[int32]bool{},
 	}
-	k.keyed, _ = t.(KeyedTeacher)
+	k.ids, _ = t.(IDTeacher)
 	k.batch, _ = t.(BatchTeacher)
-	k.kbatch, _ = t.(KeyedBatchTeacher)
+	k.bids, _ = t.(IDBatchTeacher)
 	k.spec, _ = t.(Speculator)
+	if k.words == nil {
+		k.words = NewWords(nil, k.alphabet)
+		defer k.words.Release()
+	} else if !k.words.hasAlphabet(k.alphabet) {
+		return nil, Stats{}, errWordsAlphabet
+	}
 	d, stats, err := k.run()
 	// Speculated values never asked before the run ended were wasted
 	// work: reconcile them as discarded.
@@ -86,31 +94,37 @@ func LearnKV(alphabet []string, t Teacher, opts ...Option) (*pathre.DFA, Stats, 
 }
 
 func (k *kvLearner) member(w []string) (bool, error) {
-	key := strings.Join(w, "\x00")
-	if v, ok := k.cache[key]; ok {
+	id := k.words.Intern(w)
+	if v, ok := k.cache[id]; ok {
 		return v, nil
 	}
+	return k.ask(w, id)
+}
+
+// ask puts one membership query to the teacher — with the word's ID
+// when the teacher takes one — and commits the answer.
+func (k *kvLearner) ask(w []string, id int32) (bool, error) {
 	var v bool
 	var err error
-	if k.keyed != nil {
-		v, err = k.keyed.MemberKeyed(w, key)
+	if k.ids != nil {
+		v, err = k.ids.MemberID(w, id)
 	} else {
 		v, err = k.teacher.Member(w)
 	}
 	if err != nil {
 		return false, err
 	}
-	k.commit(key, v)
+	k.commit(id, v)
 	return v, nil
 }
 
 // commit records an answered membership query, charging it and
 // reconciling any parked speculative value against the landed answer.
-func (k *kvLearner) commit(key string, v bool) {
+func (k *kvLearner) commit(id int32, v bool) {
 	k.stats.MembershipQueries++
-	k.cache[key] = v
-	if pv, ok := k.parked[key]; ok {
-		delete(k.parked, key)
+	k.cache[id] = v
+	if pv, ok := k.parked[id]; ok {
+		delete(k.parked, id)
 		if pv == v {
 			k.stats.SpeculationKept++
 		} else {
@@ -144,46 +158,55 @@ func (k *kvLearner) sift(w []string) (*ctNode, error) {
 // parks values the teacher's local side can promise; parked values are
 // reconciled by commit when (if ever) the successor probe is asked.
 func (k *kvLearner) memberSift(probe, w []string, cur *ctNode) (bool, error) {
-	key := strings.Join(probe, "\x00")
-	if v, ok := k.cache[key]; ok {
+	id := k.words.Intern(probe)
+	if v, ok := k.cache[id]; ok {
 		return v, nil
 	}
-	if (k.batch == nil && k.kbatch == nil) || k.spec == nil {
-		return k.member(probe)
+	if (k.batch == nil && k.bids == nil) || k.spec == nil {
+		return k.ask(probe, id)
+	}
+	// Intern the successor probes before the batch flies: the Words
+	// never changes under an in-flight batch.
+	var next [2][]string
+	var nextID [2]int32
+	nn := 0
+	for _, child := range []*ctNode{cur.yes, cur.no} {
+		if child == nil || child.isLeaf() {
+			continue
+		}
+		nw := append(append([]string(nil), w...), child.suffix...)
+		nid := k.words.Intern(nw)
+		if _, ok := k.cache[nid]; ok {
+			continue
+		}
+		if _, ok := k.parked[nid]; ok {
+			continue
+		}
+		next[nn], nextID[nn] = nw, nid
+		nn++
 	}
 	type batchRes struct {
 		ans []bool
 		err error
 	}
 	ch := make(chan batchRes, 1)
-	words, keys := [][]string{probe}, []string{key}
+	words, ids := [][]string{probe}, []int32{id}
 	go func() {
 		var a []bool
 		var err error
-		if k.kbatch != nil {
-			a, err = k.kbatch.MemberBatchKeyed(words, keys)
+		if k.bids != nil {
+			a, err = k.bids.MemberBatchIDs(words, ids)
 		} else {
 			a, err = k.batch.MemberBatch(words)
 		}
 		ch <- batchRes{a, err}
 	}()
-	for _, child := range []*ctNode{cur.yes, cur.no} {
-		if child == nil || child.isLeaf() {
-			continue
-		}
-		next := append(append([]string(nil), w...), child.suffix...)
-		nk := strings.Join(next, "\x00")
-		if _, ok := k.cache[nk]; ok {
-			continue
-		}
-		if _, ok := k.parked[nk]; ok {
-			continue
-		}
-		if v, ok := k.spec.SpeculateMember(next, nk); ok {
+	for i := 0; i < nn; i++ {
+		if v, ok := k.spec.SpeculateMember(next[i], nextID[i]); ok {
 			if k.parked == nil {
-				k.parked = map[string]bool{}
+				k.parked = map[int32]bool{}
 			}
-			k.parked[nk] = v
+			k.parked[nextID[i]] = v
 			k.stats.Speculated++
 		}
 	}
@@ -196,7 +219,7 @@ func (k *kvLearner) memberSift(probe, w []string, cur *ctNode) (bool, error) {
 	}
 	k.stats.BatchRounds++
 	k.stats.BatchedQueries++
-	k.commit(key, r.ans[0])
+	k.commit(id, r.ans[0])
 	return r.ans[0], nil
 }
 

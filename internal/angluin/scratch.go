@@ -3,78 +3,65 @@ package angluin
 import "sync"
 
 // The learner scratch pool. One learning session's table-sized arrays —
-// the trie's parent chains, the membership table, the batch-wave
-// buffers — are handed back when Learn returns and adopted, contents
-// reset but capacities intact, by the next session in the process. The
-// engine runs one learner per fragment per restart, so without the pool
-// every session re-grows megabytes of arrays through append doubling;
-// with it the steady-state table path allocates almost nothing. Pooling
-// is invisible to the dialogue: adopt truncates every array to empty
-// and init/grow rebuild all contents, so only capacities survive
-// between sessions.
+// the row indirection, the membership table, the batch-wave buffers —
+// are handed back when Learn returns and adopted, contents reset but
+// capacities intact, by the next session in the process. The engine
+// runs one learner per fragment per restart, so without the pool every
+// session re-grows megabytes of arrays through append doubling; with
+// it the steady-state table path allocates almost nothing. Pooling is
+// invisible to the dialogue: adopt truncates every array to empty and
+// grow rebuilds all contents, so only capacities survive between
+// sessions. (The word trie itself is pooled separately, see Words.)
 type scratch struct {
-	tr       trie
 	rowOf    []int32
 	rowEnts  []rowEntry
 	ans      []uint8
 	waveMark []uint32
 	s        []int32
-	kb       []byte
 	wb       []string
 	wvSyms   []string
 	wvOff    []int32
-	wvKOff   []int32
 	wvWords  [][]string
-	wvKeys   []string
 	wvWids   []int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // adopt moves a pooled scratch's buffers into the learner, truncated to
-// empty. Stale contents never matter: the trie is rebuilt by init, the
-// side arrays are appended with explicit values by grow, and rowEnt
-// resets a reused row slot in place.
+// empty. Stale contents never matter: the side arrays are appended with
+// explicit values by grow, and rowEnt resets a reused row slot in
+// place.
 func (l *learner) adopt(sc *scratch) {
-	l.tr = sc.tr
 	l.rowOf = sc.rowOf[:0]
 	l.rowEnts = sc.rowEnts[:0]
 	l.ans = sc.ans[:0]
 	l.waveMark = sc.waveMark[:0]
 	l.s = sc.s[:0]
-	l.kb = sc.kb[:0]
 	l.wb = sc.wb[:0]
 	l.wvSyms = sc.wvSyms[:0]
 	l.wvOff = sc.wvOff[:0]
-	l.wvKOff = sc.wvKOff[:0]
 	l.wvWords = sc.wvWords[:0]
-	l.wvKeys = sc.wvKeys[:0]
 	l.wvWids = sc.wvWids[:0]
 }
 
 // release hands the learner's buffers back to the scratch. The
-// string-holding buffers are cleared in full so a pooled scratch pins
-// neither the wave key blobs nor another document's symbol strings.
+// string-holding buffers are cleared so a pooled scratch pins no
+// document's symbol strings — but only up to the lengths this Learn
+// reached: everything beyond was cleared by the release of the Learn
+// that wrote it, so a small session never pays for clearing the
+// capacity a large one left behind.
 func (l *learner) release(sc *scratch) {
-	clear(l.tr.symStr[:cap(l.tr.symStr)])
-	sc.tr = l.tr
 	sc.rowOf = l.rowOf
 	sc.rowEnts = l.rowEnts
 	sc.ans = l.ans
 	sc.waveMark = l.waveMark
 	sc.s = l.s
-	sc.kb = l.kb
-	wb := l.wb[:cap(l.wb)]
-	clear(wb)
-	sc.wb = wb[:0]
-	ws := l.wvSyms[:cap(l.wvSyms)]
-	clear(ws)
-	sc.wvSyms = ws[:0]
+	clear(l.wb[:l.wbHigh])
+	sc.wb = l.wb[:0]
+	clear(l.wvSyms[:l.wvHigh])
+	sc.wvSyms = l.wvSyms[:0]
 	sc.wvOff = l.wvOff
-	sc.wvKOff = l.wvKOff
-	sc.wvWords = l.wvWords
-	wk := l.wvKeys[:cap(l.wvKeys)]
-	clear(wk)
-	sc.wvKeys = wk[:0]
+	clear(l.wvWords[:l.wvWordsHigh])
+	sc.wvWords = l.wvWords[:0]
 	sc.wvWids = l.wvWids
 }

@@ -3,9 +3,9 @@ package angluin
 import "sync"
 
 // SymbolTable interns alphabet symbols to dense int32 IDs. It is the
-// shared half of the learner's integer prefix trie (see trie.go): trie
-// nodes store symbol IDs, never strings, so the hot observation-table
-// path does zero string building. A table is safe for concurrent use —
+// shared half of the learner's word intern (see Words): trie nodes
+// store symbol IDs, never strings, so the hot observation-table path
+// does zero string building. A table is safe for concurrent use —
 // sessions learning the same spec share one through the artifact bundle
 // (like the index and the data graph), so replicated daemons intern a
 // document's alphabet once. IDs are append-only and never reassigned,
@@ -45,6 +45,31 @@ func (t *SymbolTable) ID(s string) int32 {
 	t.syms = append(t.syms, s)
 	t.ids[s] = id
 	return id
+}
+
+// AppendIDs appends the IDs of syms to dst, resolving the whole slice
+// under one read lock and falling back to ID only for symbols seen for
+// the first time.
+func (t *SymbolTable) AppendIDs(dst []int32, syms []string) []int32 {
+	base := len(dst)
+	missing := false
+	t.mu.RLock()
+	for _, s := range syms {
+		id, ok := t.ids[s]
+		if !ok {
+			id, missing = -1, true
+		}
+		dst = append(dst, id)
+	}
+	t.mu.RUnlock()
+	if missing {
+		for i, s := range syms {
+			if dst[base+i] < 0 {
+				dst[base+i] = t.ID(s)
+			}
+		}
+	}
+	return dst
 }
 
 // Sym returns the symbol for an ID previously returned by ID.

@@ -312,18 +312,15 @@ func (p *pLearner) conditionBox(ce *xmldoc.Node) ([]BoxEntry, error) {
 
 // speculateMember implements the angluin.Speculator contract for the
 // fragment: answer a membership query from state that is immutable
-// while a batch is in flight — the options, the path index, the R1
-// filter, and the fragment mirror — or admit it cannot. The committed
+// while a batch is in flight — the options, the word-to-path map, the
+// R1 filter, and the fragment mirror — or admit it cannot. The committed
 // dialogue never depends on a speculated value (the learner reconciles
 // it against the landed answer), so the only cost of a wrong promise
 // here is a discarded precompute. The answer cache, the positives list,
 // and the evaluator all advance with the dialogue on the batch
 // goroutine and must not be read here.
-func (p *pLearner) speculateMember(w []string, k string) (bool, bool) {
-	if p.eng.batch == nil {
-		return false, false
-	}
-	nodes := p.eng.pathIndex[k]
+func (p *pLearner) speculateMember(w []string, id int32) (bool, bool) {
+	nodes := p.nodesAt(id)
 	if p.eng.Opts.R1 && p.r1Applicable(w, nodes) {
 		return false, true
 	}
@@ -362,19 +359,23 @@ func (p *pLearner) speculateMember(w []string, k string) (bool, bool) {
 	return first, true
 }
 
-// memberBatchKeyed answers one learner query set. With a mirror the
+// memberBatchIDs answers one learner query set. With a mirror the
 // replay loop is local (each query is committed through the normal
 // pipeline, answered by extent lookup); without one but with a batch
 // teacher the set ships over the wire with representative
 // reconciliation; otherwise it replays serially — in every case in
-// index order, so the committed dialogue equals the serial one.
-func (p *pLearner) memberBatchKeyed(words [][]string, keys []string) ([]bool, error) {
+// index order, so the committed dialogue equals the serial one. The
+// session context is checked once per set (per round on the wire).
+func (p *pLearner) memberBatchIDs(words [][]string, ids []int32) ([]bool, error) {
 	if p.mirror == nil && p.eng.batch != nil {
-		return p.memberBatchWire(words, keys)
+		return p.memberBatchWire(words, ids)
+	}
+	if err := ctxErr(p.ctx); err != nil {
+		return nil, err
 	}
 	out := make([]bool, len(words))
 	for i := range words {
-		v, err := p.memberKeyed(words[i], keys[i])
+		v, err := p.member(words[i], ids[i])
 		if err != nil {
 			return nil, err
 		}
@@ -396,20 +397,20 @@ func (p *pLearner) memberBatchKeyed(words [][]string, keys []string) ([]bool, er
 // first pending query's representative is always still valid, so every
 // round commits at least one answer and the committed (query,
 // representative, answer) sequence is exactly the serial protocol's.
-func (p *pLearner) memberBatchWire(words [][]string, keys []string) ([]bool, error) {
+func (p *pLearner) memberBatchWire(words [][]string, ids []int32) ([]bool, error) {
 	out := make([]bool, len(words))
 	done := make([]bool, len(words))
 	for {
+		if err := ctxErr(p.ctx); err != nil {
+			return nil, err
+		}
 		var idxs []int
 		var reps []*xmldoc.Node
 		for i := range words {
 			if done[i] {
 				continue
 			}
-			ans, final, rep, err := p.memberLocal(words[i], keys[i])
-			if err != nil {
-				return nil, err
-			}
+			ans, final, rep := p.memberLocal(words[i], ids[i])
 			if final {
 				out[i], done[i] = ans, true
 				continue
@@ -437,10 +438,7 @@ func (p *pLearner) memberBatchWire(words [][]string, keys []string) ([]bool, err
 		}
 		progress := false
 		for j, i := range idxs {
-			ansI, final, rep, err := p.memberLocal(words[i], keys[i])
-			if err != nil {
-				return nil, err
-			}
+			ansI, final, rep := p.memberLocal(words[i], ids[i])
 			if final {
 				// An earlier commit in this loop resolved the query locally
 				// (e.g. an R2 default after a cache correction); the wire
@@ -454,7 +452,7 @@ func (p *pLearner) memberBatchWire(words [][]string, keys []string) ([]bool, err
 				p.eng.spec.Discarded++ // representative drifted; re-ask next round
 				continue
 			}
-			p.commitAsked(keys[i], rep, ans[j])
+			p.commitAsked(ids[i], rep, ans[j])
 			out[i], done[i] = ans[j], true
 			progress = true
 			p.eng.spec.Kept++

@@ -37,12 +37,9 @@ type Engine struct {
 	// supplied (bundle-backed sessions intern a document's labels once
 	// across all replicas), a private table otherwise.
 	syms *angluin.SymbolTable
-	// pathIndex groups instance nodes by their root path; pathKeys is
-	// the deterministic iteration order and pathLabels the decoded
-	// label sequences.
-	pathIndex  map[string][]*xmldoc.Node
-	pathKeys   []string
-	pathLabels map[string][]string
+	// paths groups instance nodes by their root path, sorted by the
+	// "\x00"-joined labels (the deterministic iteration order).
+	paths []instPath
 	// realized caches the DFA of the instance's realized paths.
 	realized *pathre.DFA
 
@@ -80,18 +77,26 @@ func NewEngine(source *xmldoc.Document, teacher Teacher, opts Options) *Engine {
 	return newEngine(source, teacher, opts)
 }
 
+// instPath is one distinct root path of the instance.
+type instPath struct {
+	key    string // pathKey(labels), the sort key
+	labels []string
+	// syms is labels resolved through the engine's symbol table once,
+	// so fragment learners intern the path without taking its lock.
+	syms  []int32
+	nodes []*xmldoc.Node // document order
+}
+
 func newEngine(source *xmldoc.Document, teacher Teacher, opts Options) *Engine {
 	e := &Engine{
-		Source:     source,
-		Teacher:    teacher,
-		Opts:       opts,
-		eval:       xq.NewEvaluator(source),
-		alphabet:   source.Alphabet(),
-		pathIndex:  map[string][]*xmldoc.Node{},
-		pathLabels: map[string][]string{},
-		mirrors:    map[string]*mirror{},
-		stash:      map[string]*varStash{},
-		boxUsed:    map[string]bool{},
+		Source:   source,
+		Teacher:  teacher,
+		Opts:     opts,
+		eval:     xq.NewEvaluator(source),
+		alphabet: source.Alphabet(),
+		mirrors:  map[string]*mirror{},
+		stash:    map[string]*varStash{},
+		boxUsed:  map[string]bool{},
 	}
 	if opts.Batched {
 		e.batch, _ = teacher.(BatchTeacher)
@@ -119,26 +124,36 @@ func newEngine(source *xmldoc.Document, teacher Teacher, opts Options) *Engine {
 		// stray append from ever writing into them.
 		e.eval = xq.NewEvaluatorWithIndex(ix)
 		ix.RootPaths(func(labels []string, nodes []*xmldoc.Node) {
-			k := pathKey(labels)
-			e.pathKeys = append(e.pathKeys, k)
-			e.pathLabels[k] = labels
-			e.pathIndex[k] = nodes[:len(nodes):len(nodes)]
+			e.paths = append(e.paths, instPath{key: pathKey(labels), labels: labels, nodes: nodes[:len(nodes):len(nodes)]})
 		})
 	} else {
+		at := map[string]int{}
 		source.Walk(func(n *xmldoc.Node) bool {
 			if n.Kind == xmldoc.ElementNode || n.Kind == xmldoc.AttributeNode {
 				w := n.Path()
 				k := pathKey(w)
-				if _, ok := e.pathIndex[k]; !ok {
-					e.pathKeys = append(e.pathKeys, k)
-					e.pathLabels[k] = w
+				i, ok := at[k]
+				if !ok {
+					i = len(e.paths)
+					at[k] = i
+					e.paths = append(e.paths, instPath{key: k, labels: w})
 				}
-				e.pathIndex[k] = append(e.pathIndex[k], n)
+				e.paths[i].nodes = append(e.paths[i].nodes, n)
 			}
 			return true
 		})
 	}
-	sort.Strings(e.pathKeys)
+	sort.Slice(e.paths, func(i, j int) bool { return e.paths[i].key < e.paths[j].key })
+	var syms []int32
+	for i := range e.paths {
+		syms = e.syms.AppendIDs(syms, e.paths[i].labels)
+	}
+	off := 0
+	for i := range e.paths {
+		n := len(e.paths[i].labels)
+		e.paths[i].syms = syms[off : off+n : off+n]
+		off += n
+	}
 	return e
 }
 
@@ -579,9 +594,9 @@ func predMentions(p *xq.Pred, v string) bool {
 // accepts, in document order.
 func (e *Engine) nodesAccepted(d *pathre.DFA) []*xmldoc.Node {
 	var out []*xmldoc.Node
-	for _, k := range e.pathKeys {
-		if d.Accepts(e.pathLabels[k]) {
-			out = append(out, e.pathIndex[k]...)
+	for i := range e.paths {
+		if d.Accepts(e.paths[i].labels) {
+			out = append(out, e.paths[i].nodes...)
 		}
 	}
 	sortByID(out)
@@ -674,9 +689,9 @@ func (e *Engine) trimDFA(d *pathre.DFA) *pathre.DFA {
 			// index's cached build is word-for-word the same construction.
 			e.realized = ix.RealizedPathsDFA()
 		} else {
-			words := make([][]string, 0, len(e.pathKeys))
-			for _, k := range e.pathKeys {
-				words = append(words, e.pathLabels[k])
+			words := make([][]string, 0, len(e.paths))
+			for i := range e.paths {
+				words = append(words, e.paths[i].labels)
 			}
 			e.realized = pathre.FromStrings(words, e.alphabet)
 		}

@@ -92,6 +92,20 @@ func TestR2Backtracking(t *testing.T) {
 	if stats.Totals().Restarts == 0 {
 		t.Error("expected an L* restart from the R2 backtrack")
 	}
+	// Replay across the restart, pinned exactly: the answers given
+	// before the backtrack are replayed from the cache and never charged
+	// again (MQ), the R2 defaults are dropped at the backtrack and the
+	// restarted table re-derives what it needs under R1 alone, and each
+	// auto-answer is charged once to its rule.
+	wantStats := core.FragmentStats{
+		Var: "x", TemplatePath: "out/entry",
+		MQ: 4, CE: 2,
+		ReducedR1: 148, ReducedR2: 24, ReducedBoth: 20, ReducedTotal: 152,
+		Restarts: 1, PathStates: 5,
+	}
+	if len(stats.Fragments) != 1 || stats.Fragments[0] != wantStats {
+		t.Errorf("fragment stats:\ngot  %+v\nwant [%+v]", stats.Fragments, wantStats)
+	}
 	// The label tag never enters the extent.
 	if strings.Contains(got, "E") {
 		t.Error("junk label leaked into the extent")

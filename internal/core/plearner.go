@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/angluin"
 	"repro/internal/datagraph"
@@ -16,10 +18,11 @@ import (
 
 // provenance records where a cached membership answer came from; R2
 // answers are heuristic and may be retracted (Section 8).
-type provenance int
+type provenance uint8
 
 const (
-	provAsked     provenance = iota // the user answered
+	provNone      provenance = iota // no answer yet
+	provAsked                       // the user answered
 	provR1                          // auto-answered: no such path in the instance/schema
 	provR2                          // auto-answered: last-tag heuristic
 	provDrop                        // the dropped example itself
@@ -27,11 +30,21 @@ const (
 	provCorrected                   // flipped after an inconsistency
 )
 
+// pans is one word's cached membership answer. It holds no pointers, so
+// the answer slice costs the garbage collector nothing to scan.
 type pans struct {
 	ans  bool
 	prov provenance
-	node *xmldoc.Node
 }
+
+// fragScratch is a fragment learner's word-ID-indexed state, pooled
+// across fragments so its capacity survives (see pLearner.bind).
+type fragScratch struct {
+	ans  []pans
+	path []int32
+}
+
+var fragPool = sync.Pool{New: func() any { return new(fragScratch) }}
 
 // r2mode is the state machine of rule R2: Active (defaults N unless the
 // last tag matches the dropped example's), AnyTag (after one positive
@@ -58,7 +71,7 @@ func (e restartErr) Error() string { return "core: restart L*: " + e.reason }
 // pLearner learns one fragment: the path DFA (P-Learner) interleaved
 // with condition learning (C-Learner) and explicit Condition Boxes.
 type pLearner struct {
-	ctx     context.Context // the session context, checked at every MQ/EQ
+	ctx     context.Context // the session context, checked per query set and EQ
 	eng     *Engine
 	frag    FragmentRef
 	pinCtx  map[string]*xmldoc.Node // pins for teacher extent queries
@@ -67,7 +80,19 @@ type pLearner struct {
 	example     *xmldoc.Node // the dropped node
 	stripLevels int          // 1 for a 1-labeled pair, else 0
 
-	cache     map[string]pans
+	// words interns every word of the fragment's dialogue; its node IDs
+	// are the keys of the answer state below and stay valid across L*
+	// restarts (see run). ans is the dialogue's answer per word ID
+	// (prov == provNone: not answered yet). path maps a word ID to its
+	// index in the engine's instance paths, -1 for words no instance
+	// node realizes; it is filled when the instance paths are interned
+	// and never written afterwards, so speculation may read it while a
+	// batch is in flight. All three live between bind and unbind.
+	words *angluin.Words
+	ans   []pans
+	path  []int32
+	sc    *fragScratch
+
 	r2        r2mode
 	lastTag   string
 	clearner  *cLearner
@@ -83,12 +108,12 @@ type pLearner struct {
 	structural bool
 	relAnchor  *xmldoc.Node
 
-	// hypDFA/hypKeys cache the instance path keys the current hypothesis
+	// hypDFA/hypPaths cache the instance paths the current hypothesis
 	// DFA accepts. The EQ loop re-materializes the hypothesis extent for
 	// the same DFA every condition-refinement iteration; acceptance
 	// depends only on the DFA, so it is computed once per hypothesis.
-	hypDFA  *pathre.DFA
-	hypKeys []string
+	hypDFA   *pathre.DFA
+	hypPaths []int32
 
 	// mirror is the fragment context's prefetched truth knowledge under
 	// the batched protocol (nil serially); see batched.go.
@@ -104,10 +129,7 @@ func newPLearner(ctx context.Context, eng *Engine, frag FragmentRef, pinCtx, con
 	example *xmldoc.Node, strip int, stats *FragmentStats) *pLearner {
 	p := &pLearner{
 		ctx: ctx, eng: eng, frag: frag, pinCtx: pinCtx, condCtx: condCtx,
-		example: example, stripLevels: strip,
-		// Presized: without the reduction rules the cache holds one
-		// entry per candidate word and rehash copies dominate profiles.
-		cache: make(map[string]pans, 1<<10), stats: stats,
+		example: example, stripLevels: strip, stats: stats,
 		clearner: newCLearner(eng.graph, condCtx, frag.AnchorVar),
 	}
 	ep := example.Path()
@@ -122,9 +144,68 @@ func newPLearner(ctx context.Context, eng *Engine, frag FragmentRef, pinCtx, con
 		}
 	}
 	p.structural = p.relAnchor != nil
-	p.cache[pathKey(ep)] = pans{ans: true, prov: provDrop, node: example}
 	p.addPositive(example)
 	return p
+}
+
+// bind sets up the fragment's word state for run: a Words over the
+// engine's shared symbol table, every instance path interned into it
+// from the engine's pre-resolved symbol IDs, and the dropped example's
+// path answered Yes.
+func (p *pLearner) bind() {
+	p.sc = fragPool.Get().(*fragScratch)
+	p.words = angluin.NewWords(p.eng.syms, p.eng.alphabet)
+	path := p.sc.path[:0]
+	for i := range p.eng.paths {
+		id := p.words.InternSyms(p.eng.paths[i].syms)
+		for len(path) <= int(id) {
+			path = append(path, -1)
+		}
+		path[id] = int32(i)
+	}
+	p.path = path
+	p.ans = p.sc.ans[:0]
+	p.setAns(p.words.Intern(p.example.Path()), pans{ans: true, prov: provDrop})
+}
+
+// unbind returns the word state to the pools.
+func (p *pLearner) unbind() {
+	p.sc.ans, p.sc.path = p.ans[:0], p.path[:0]
+	fragPool.Put(p.sc)
+	p.words.Release()
+	p.sc, p.words, p.ans, p.path = nil, nil, nil, nil
+}
+
+// answer returns the dialogue's answer for word id, if it has one.
+func (p *pLearner) answer(id int32) (pans, bool) {
+	if int(id) < len(p.ans) && p.ans[id].prov != provNone {
+		return p.ans[id], true
+	}
+	return pans{}, false
+}
+
+func (p *pLearner) setAns(id int32, a pans) {
+	if int(id) >= len(p.ans) {
+		// Cover every ID the Words has issued so far in one step. The
+		// learner never grows the Words while a query set is in flight,
+		// so reading its length here is safe on the batch goroutine.
+		// The pooled backing array may hold a previous fragment's
+		// answers past len, so the new range is cleared.
+		old, n := len(p.ans), max(int(id)+1, p.words.Len())
+		p.ans = slices.Grow(p.ans, n-old)[:n]
+		clear(p.ans[old:])
+	}
+	p.ans[id] = a
+}
+
+// nodesAt returns the instance nodes whose root path is word id.
+func (p *pLearner) nodesAt(id int32) []*xmldoc.Node {
+	if int(id) < len(p.path) {
+		if i := p.path[id]; i >= 0 {
+			return p.eng.paths[i].nodes
+		}
+	}
+	return nil
 }
 
 // anchor maps an extent node to the node its conditions live on (the
@@ -168,28 +249,30 @@ func (p *pLearner) condsHold(n *xmldoc.Node) bool {
 	return true
 }
 
-// Member implements the L* membership oracle with the rule pipeline:
-// cache → R1 → R2 → ask the user about a representative node. The
-// session context is checked before every query, so a cancellation
-// aborts the learner at the next MQ boundary.
-func (p *pLearner) Member(w []string) (bool, error) {
-	return p.memberKeyed(w, pathKey(w))
+// memberID implements the L* membership oracle for one query, word w
+// with ID id in p.words: the session context is checked, then the
+// answer comes from the rule pipeline (see member).
+func (p *pLearner) memberID(w []string, id int32) (bool, error) {
+	if err := ctxErr(p.ctx); err != nil {
+		return false, err
+	}
+	return p.member(w, id)
 }
 
-// memberKeyed is Member with the word's pathKey pre-joined — the
-// angluin.KeyedTeacher fast path. The learner interns the key anyway,
-// so taking it here removes one join per membership query (and the
-// cache insert below reuses the same string).
-func (p *pLearner) memberKeyed(w []string, k string) (bool, error) {
-	ans, final, rep, err := p.memberLocal(w, k)
-	if err != nil || final {
-		return ans, err
+// member runs the rule pipeline — cache → R1 → R2 → ask the user about
+// a representative node — without checking the context; callers check
+// it once per query set, so a cancellation aborts the learner at the
+// next query-set boundary.
+func (p *pLearner) member(w []string, id int32) (bool, error) {
+	ans, final, rep := p.memberLocal(w, id)
+	if final {
+		return ans, nil
 	}
-	ans, err = p.askMember(rep)
+	ans, err := p.askMember(rep)
 	if err != nil {
 		return false, fmt.Errorf("core: fragment %s: membership query: %w", p.frag.Var, err)
 	}
-	p.commitAsked(k, rep, ans)
+	p.commitAsked(id, rep, ans)
 	return ans, nil
 }
 
@@ -200,14 +283,11 @@ func (p *pLearner) memberKeyed(w []string, k string) (bool, error) {
 // and returns it uncommitted, so batch transports can ask many
 // representatives per round trip and commit each answer with
 // commitAsked once its representative is revalidated.
-func (p *pLearner) memberLocal(w []string, k string) (ans, final bool, rep *xmldoc.Node, err error) {
-	if err := ctxErr(p.ctx); err != nil {
-		return false, false, nil, err
+func (p *pLearner) memberLocal(w []string, id int32) (ans, final bool, rep *xmldoc.Node) {
+	if a, ok := p.answer(id); ok {
+		return a.ans, true, nil
 	}
-	if a, ok := p.cache[k]; ok {
-		return a.ans, true, nil, nil
-	}
-	nodes := p.eng.pathIndex[k]
+	nodes := p.nodesAt(id)
 	r1 := p.eng.Opts.R1 && p.r1Applicable(w, nodes)
 	r2 := p.r2 == r2Active && len(w) > 0 && w[len(w)-1] != p.lastTag
 	if r1 || r2 {
@@ -225,16 +305,16 @@ func (p *pLearner) memberLocal(w []string, k string) (ans, final bool, rep *xmld
 		if !r1 {
 			prov = provR2
 		}
-		p.cache[k] = pans{ans: false, prov: prov}
-		return false, true, nil, nil
+		p.setAns(id, pans{ans: false, prov: prov})
+		return false, true, nil
 	}
 	// Ask the user. With no node at this path the user still has to
 	// dismiss the query (counts as an interaction; this is what R1
 	// eliminates).
 	if len(nodes) == 0 {
 		p.stats.MQ++
-		p.cache[k] = pans{ans: false, prov: provAsked}
-		return false, true, nil, nil
+		p.setAns(id, pans{ans: false, prov: provAsked})
+		return false, true, nil
 	}
 	m := nodes[0]
 	for _, n := range nodes {
@@ -243,15 +323,15 @@ func (p *pLearner) memberLocal(w []string, k string) (ans, final bool, rep *xmld
 			break
 		}
 	}
-	return false, false, m, nil
+	return false, false, m
 }
 
 // commitAsked commits a teacher-answered membership query into the
-// dialogue: the MQ charge, the cache entry, and the positive-example
+// dialogue: the MQ charge, the cached answer, and the positive-example
 // observation, exactly as the serial pipeline commits them.
-func (p *pLearner) commitAsked(k string, rep *xmldoc.Node, ans bool) {
+func (p *pLearner) commitAsked(id int32, rep *xmldoc.Node, ans bool) {
 	p.stats.MQ++
-	p.cache[k] = pans{ans: ans, prov: provAsked, node: rep}
+	p.setAns(id, pans{ans: ans, prov: provAsked})
 	if ans {
 		p.addPositive(rep)
 	}
@@ -313,17 +393,17 @@ func (p *pLearner) positivesShareRelPath(ctxNode *xmldoc.Node, steps []string, p
 func (p *pLearner) hypothesisExtent(h *pathre.DFA) []*xmldoc.Node {
 	if p.hypDFA != h {
 		p.hypDFA = h
-		p.hypKeys = p.hypKeys[:0]
-		for _, k := range p.eng.pathKeys {
-			if h.Accepts(p.eng.pathLabels[k]) {
-				p.hypKeys = append(p.hypKeys, k)
+		p.hypPaths = p.hypPaths[:0]
+		for i := range p.eng.paths {
+			if h.Accepts(p.eng.paths[i].labels) {
+				p.hypPaths = append(p.hypPaths, int32(i))
 			}
 		}
 	}
 	ix := p.eng.eval.Index()
 	var out []*xmldoc.Node
-	for _, k := range p.hypKeys {
-		for _, n := range p.eng.pathIndex[k] {
+	for _, i := range p.hypPaths {
+		for _, n := range p.eng.paths[i].nodes {
 			if p.structural && !ix.Ancestor(p.relAnchor, n) {
 				continue
 			}
@@ -417,25 +497,25 @@ func (p *pLearner) processPositive(h *pathre.DFA, ce *xmldoc.Node) ([]string, er
 	if h.Accepts(w) {
 		return nil, nil // condition-side counterexample only
 	}
-	k := pathKey(w)
-	if a, ok := p.cache[k]; ok && !a.ans {
+	id := p.words.Intern(w)
+	if a, ok := p.answer(id); ok && !a.ans {
 		// The table holds a wrong No for this path: correct and restart.
-		p.cache[k] = pans{ans: true, prov: provCorrected, node: ce}
+		p.setAns(id, pans{ans: true, prov: provCorrected})
 		return nil, restartErr{reason: "corrected membership answer for " + strings.Join(w, "/")}
 	}
-	p.cache[k] = pans{ans: true, prov: provCE, node: ce}
+	p.setAns(id, pans{ans: true, prov: provCE})
 	return w, nil
 }
 
 // backtrackR2 implements R2's backtracking: discard every heuristic
 // answer and relax the last-tag assumption, then restart L*.
 func (p *pLearner) backtrackR2(w []string, ce *xmldoc.Node) error {
-	for k, a := range p.cache {
-		if a.prov == provR2 {
-			delete(p.cache, k)
+	for i := range p.ans {
+		if p.ans[i].prov == provR2 {
+			p.ans[i] = pans{}
 		}
 	}
-	p.cache[pathKey(w)] = pans{ans: true, prov: provCorrected, node: ce}
+	p.setAns(p.words.Intern(w), pans{ans: true, prov: provCorrected})
 	p.r2 = r2AnyTag
 	return restartErr{reason: "R2 backtrack: positive counterexample ends with " + w[len(w)-1]}
 }
@@ -467,7 +547,7 @@ func (p *pLearner) processNegative(h *pathre.DFA, ce *xmldoc.Node) (bool, error)
 	if p.r2 == r2AnyTag {
 		p.r2 = r2Off // negative counterexample under the relaxed assumption
 	}
-	p.cache[pathKey(ce.Path())] = pans{ans: false, prov: provCE, node: ce}
+	p.setAns(p.words.Intern(ce.Path()), pans{ans: false, prov: provCE})
 	return false, nil
 }
 
@@ -525,19 +605,30 @@ func (p *pLearner) applyBoxes(entries []BoxEntry, ce *xmldoc.Node) error {
 
 // run drives L* (with restarts after corrections) and returns the
 // learned path DFA. A restartErr from the oracle callbacks rebuilds the
-// observation table (the cache replays every answered query, so no user
-// interaction is repeated); any other error is final.
+// observation table (the cached answers replay every answered query, so
+// no user interaction is repeated); any other error is final. Every
+// attempt runs over the fragment's one Words, so word IDs — and the
+// answers indexed by them — carry across restarts.
 func (p *pLearner) run() (*pathre.DFA, error) {
 	const maxRestarts = 64
+	p.bind()
+	defer p.unbind()
+	// The Speculator is only worth offering when a batch can actually be
+	// in flight: on the serial protocol speculateMember could never
+	// promise an answer.
+	var t angluin.Teacher = teacherAdapter{p}
+	if p.eng.batch != nil {
+		t = specAdapter{teacherAdapter{p}}
+	}
 	for attempt := 0; ; attempt++ {
 		learn := angluin.Learn
 		if p.eng.Opts.UseKVLearner {
 			learn = angluin.LearnKV
 		}
-		d, stats, err := learn(p.eng.alphabet, teacherAdapter{p},
+		d, stats, err := learn(p.eng.alphabet, t,
 			angluin.WithInitialExample(p.example.Path()),
 			angluin.WithMaxEquivalenceQueries(p.eng.Opts.MaxEQ),
-			angluin.WithSymbolTable(p.eng.syms))
+			angluin.WithWords(p.words))
 		// Fold the learner's transport bookkeeping into the session's
 		// (every attempt's work counts, restarts included); the dialogue
 		// counters live in FragmentStats and are charged by the oracle
@@ -562,30 +653,26 @@ func (p *pLearner) run() (*pathre.DFA, error) {
 	}
 }
 
-// teacherAdapter exposes the pLearner as an angluin.Teacher — plus its
-// KeyedTeacher extension (pathKey and the learner's word key are the
-// same "\x00" join, so the learner-materialized key is used verbatim),
-// the batch seam (query sets, committed by index), and the Speculator
-// (precompute from immutable local knowledge while a batch flies).
+// teacherAdapter exposes the pLearner as an angluin.Teacher with the ID
+// forms of the membership seam — single queries and query sets,
+// committed by index — whose word IDs are p.words' node IDs.
 type teacherAdapter struct{ p *pLearner }
 
-func (t teacherAdapter) Member(w []string) (bool, error) { return t.p.Member(w) }
-func (t teacherAdapter) MemberKeyed(w []string, k string) (bool, error) {
-	return t.p.memberKeyed(w, k)
+func (t teacherAdapter) Member(w []string) (bool, error) {
+	return t.p.memberID(w, t.p.words.Intern(w))
 }
+func (t teacherAdapter) MemberID(w []string, id int32) (bool, error) { return t.p.memberID(w, id) }
 func (t teacherAdapter) Equivalent(h *pathre.DFA) ([]string, bool, error) {
 	return t.p.Equivalent(h)
 }
-func (t teacherAdapter) MemberBatch(words [][]string) ([]bool, error) {
-	keys := make([]string, len(words))
-	for i, w := range words {
-		keys[i] = pathKey(w)
-	}
-	return t.p.memberBatchKeyed(words, keys)
+func (t teacherAdapter) MemberBatchIDs(words [][]string, ids []int32) ([]bool, error) {
+	return t.p.memberBatchIDs(words, ids)
 }
-func (t teacherAdapter) MemberBatchKeyed(words [][]string, keys []string) ([]bool, error) {
-	return t.p.memberBatchKeyed(words, keys)
-}
-func (t teacherAdapter) SpeculateMember(w []string, k string) (bool, bool) {
-	return t.p.speculateMember(w, k)
+
+// specAdapter adds the Speculator (precompute from immutable local
+// knowledge while a batch flies) under the batched protocol.
+type specAdapter struct{ teacherAdapter }
+
+func (t specAdapter) SpeculateMember(w []string, id int32) (bool, bool) {
+	return t.p.speculateMember(w, id)
 }
