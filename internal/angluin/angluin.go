@@ -310,12 +310,10 @@ func (l *learner) internWord(w []string) int32 {
 
 // extID returns the ID of prefix id extended by alphabet[ai],
 // interning the extension on first sight. In dense mode this is the
-// two-load fast path the closedness and hypothesis scans hit.
+// row lookup fast path the closedness and hypothesis scans hit.
 func (l *learner) extID(id int32, ai int) int32 {
-	if ri := l.tr.rowIdx[id]; ri >= 0 {
-		if c := l.tr.rowData[int(ri)*len(l.tr.alpha)+ai]; c >= 0 {
-			return c
-		}
+	if c := l.tr.rowChild(id, ai); c >= 0 {
+		return c
 	}
 	return l.node(id, l.tr.alpha[ai])
 }
@@ -603,13 +601,17 @@ func (l *learner) hypothesis() (*pathre.DFA, error) {
 	d := pathre.NewDFA(l.alphabet, len(reps))
 	// NewDFA sorts the alphabet; transitions must be indexed by the
 	// sorted order.
+	col := make([]int, len(l.alphabet))
+	for ai, a := range l.alphabet {
+		col[ai] = d.SymIndex(a)
+	}
 	for qi, rep := range reps {
 		r, err := l.row(rep)
 		if err != nil {
 			return nil, err
 		}
 		d.Accept[qi] = r[0] == '1' // E[0] is ε
-		for ai, a := range l.alphabet {
+		for ai := range l.alphabet {
 			re, err := l.row(l.extID(rep, ai))
 			if err != nil {
 				return nil, err
@@ -619,7 +621,7 @@ func (l *learner) hypothesis() (*pathre.DFA, error) {
 				// Table is closed, so this cannot happen; guard anyway.
 				target = qi
 			}
-			d.Trans[qi][d.SymIndex(a)] = target
+			d.Trans[qi][col[ai]] = target
 		}
 	}
 	r0, err := l.row(0)

@@ -31,6 +31,14 @@ import "sync"
 //   - Everything else — huge alphabets, symbols outside the fixed
 //     alphabet (counterexample words can contain them) — lives in one
 //     map keyed by the packed (parent<<32 | symbol) int64.
+//
+// Storage is paged. Node records live in fixed-size node pages and
+// dense child rows in fixed-size row pages, each page type drawn from
+// its own sync.Pool and handed back by Release. Growth appends a page
+// and never copies, and a Words that finds its pool empty pays for one
+// page, not for regrowing every array of a 100k-node trie. Pooled pages
+// hold no pointers and vanish after two idle garbage collections like
+// any pooled object, so an idle process retains none of them.
 type Words struct {
 	tab *SymbolTable
 	// symStr mirrors tab's ID→symbol mapping for the symbols this Words
@@ -44,34 +52,60 @@ type Words struct {
 	aiOf  []int32
 	dense bool
 
-	// Per-node state, index = node ID; node 0 is the ε root.
-	parent []int32
-	sym    []int32 // symbol ID of the node's last step; -1 at the root
-	depth  []int32 // word length
-	// kidSym/kid are the inline first-child slot (kidSym -1 = no
-	// children). rowIdx is -1 until a second in-alphabet child promotes
-	// the node, then the index of its dense child row: row r lives at
-	// rowData[r*len(alpha) : (r+1)*len(alpha)]. Flat storage keeps the
-	// per-node cost at 4 bytes (a slice-of-slices would spend 24 on a
-	// nil header per node, and nearly all nodes are unpromoted links in
-	// linear word chains).
-	kidSym  []int32
-	kid     []int32
-	rowIdx  []int32
-	rowData []int32
-	kids    map[uint64]int32
+	// nodes holds the node records, node id at
+	// nodes[id>>nodePageBits][id&nodePageMask]; node 0 is the ε root.
+	nodes []*nodePage
+	n     int32
+	// rows holds the dense child rows. A row's offset is its position
+	// in the concatenation of the row pages; rows never straddle a
+	// page, and rowEnd is the offset the next row starts at (or past).
+	rows   []*rowPage
+	rowEnd int32
+	kids   map[uint64]int32
 
 	ids []int32 // Intern's resolve scratch
 }
+
+// wnode is one trie node.
+type wnode struct {
+	parent int32
+	sym    int32 // symbol ID of the node's last step; -1 at the root
+	depth  int32 // word length
+	// kidSym/kid are the inline first-child slot (kidSym -1 = no
+	// children). row is -1 until a second in-alphabet child promotes
+	// the node, then the offset of its dense child row.
+	kidSym int32
+	kid    int32
+	row    int32
+}
+
+const (
+	nodePageBits = 12
+	nodePageMask = 1<<nodePageBits - 1
+	// rowPageBits sizes a row page in int32 slots: 64 rows at the
+	// largest dense alphabet (denseAlphabetMax), more at smaller ones.
+	rowPageBits = 14
+	rowPageMask = 1<<rowPageBits - 1
+)
+
+type (
+	nodePage [1 << nodePageBits]wnode
+	rowPage  [1 << rowPageBits]int32
+)
+
+var (
+	nodePages = sync.Pool{New: func() any { return new(nodePage) }}
+	rowPages  = sync.Pool{New: func() any { return new(rowPage) }}
+)
 
 // denseAlphabetMax is the largest alphabet for which branchy nodes
 // promote to dense per-parent child rows; larger alphabets stay on the
 // packed map.
 const denseAlphabetMax = 256
 
-// wordsPool recycles Words between owners: NewWords adopts a pooled
-// one, contents reset but array capacities intact, so only the first
-// learning sessions in a process pay for growth.
+// wordsPool recycles the Words headers — their symbol mirrors, page
+// tables and child map — between owners; the pages themselves travel
+// through nodePages and rowPages.
 var wordsPool = sync.Pool{New: func() any { return new(Words) }}
 
 // NewWords returns an empty Words (only the ε root) over the symbol
@@ -87,10 +121,21 @@ func NewWords(tab *SymbolTable, alphabet []string) *Words {
 	return w
 }
 
-// Release returns the Words to the pool, first dropping its symbol
-// strings so a pooled Words pins no document's labels. Neither the
-// Words nor any ID it issued may be used afterwards.
+// Release returns the Words' pages to their pools and the Words to
+// its own, first dropping its symbol strings so a pooled Words pins no
+// document's labels. Neither the Words nor any ID it issued may be
+// used afterwards.
 func (w *Words) Release() {
+	for _, pg := range w.nodes {
+		nodePages.Put(pg)
+	}
+	for _, pg := range w.rows {
+		rowPages.Put(pg)
+	}
+	clear(w.nodes)
+	w.nodes = w.nodes[:0]
+	clear(w.rows)
+	w.rows = w.rows[:0]
 	clear(w.symStr)
 	w.symStr = w.symStr[:0]
 	w.tab = nil
@@ -109,13 +154,8 @@ func (w *Words) init(tab *SymbolTable, alphabet []string) {
 		w.note(id, alphabet[ai])
 		w.aiOf[id] = int32(ai)
 	}
-	w.parent = append(w.parent[:0], -1)
-	w.sym = append(w.sym[:0], -1)
-	w.depth = append(w.depth[:0], 0)
-	w.kidSym = append(w.kidSym[:0], -1)
-	w.kid = append(w.kid[:0], -1)
-	w.rowIdx = append(w.rowIdx[:0], -1)
-	w.rowData = w.rowData[:0]
+	w.n, w.rowEnd = 0, 0
+	w.newNode(-1, -1, 0)
 	clear(w.kids)
 }
 
@@ -134,7 +174,13 @@ func (w *Words) hasAlphabet(alphabet []string) bool {
 }
 
 // Len reports the node count; IDs are dense in [0, Len).
-func (w *Words) Len() int { return len(w.parent) }
+func (w *Words) Len() int { return int(w.n) }
+
+// node returns node id's record. Pages never move, so the pointer stays
+// valid while the Words grows.
+func (w *Words) node(id int32) *wnode {
+	return &w.nodes[id>>nodePageBits][id&nodePageMask]
+}
 
 // note records symbol id's string locally for lock-free word building.
 func (w *Words) note(id int32, s string) {
@@ -181,31 +227,32 @@ func (w *Words) step(p, sym int32) int32 {
 
 // Word returns a freshly allocated copy of node id's word (nil for ε).
 func (w *Words) Word(id int32) []string {
-	if w.depth[id] == 0 {
+	d := w.node(id).depth
+	if d == 0 {
 		return nil
 	}
-	return w.appendWord(make([]string, 0, w.depth[id]), id)
+	return w.appendWord(make([]string, 0, d), id)
 }
 
-// row returns node p's promoted dense child row, or nil.
-func (w *Words) row(p int32) []int32 {
-	ri := w.rowIdx[p]
-	if ri < 0 {
-		return nil
+// rowChild returns the child of p at alphabet position ai through p's
+// dense child row: -1 when p is unpromoted or has no such child yet.
+func (w *Words) rowChild(p int32, ai int) int32 {
+	if r := w.node(p).row; r >= 0 {
+		return w.rows[r>>rowPageBits][int(r&rowPageMask)+ai]
 	}
-	off := int(ri) * len(w.alpha)
-	return w.rowData[off : off+len(w.alpha)]
+	return -1
 }
 
 // child returns the child of p along symbol sym, or -1. sym must have
 // been noted (through init, Intern or InternSyms).
 func (w *Words) child(p, sym int32) int32 {
-	if w.kidSym[p] == sym {
-		return w.kid[p]
+	pn := w.node(p)
+	if pn.kidSym == sym {
+		return pn.kid
 	}
-	if r := w.row(p); r != nil {
+	if pn.row >= 0 {
 		if ai := w.aiOf[sym]; ai >= 0 {
-			return r[ai]
+			return w.rows[pn.row>>rowPageBits][int(pn.row&rowPageMask)+int(ai)]
 		}
 	}
 	if c, ok := w.kids[pack(p, sym)]; ok {
@@ -214,40 +261,60 @@ func (w *Words) child(p, sym int32) int32 {
 	return -1
 }
 
+// newNode appends a node record, taking a fresh page when the last one
+// is full, and returns its ID.
+func (w *Words) newNode(p, sym, depth int32) int32 {
+	id := w.n
+	if int(id>>nodePageBits) == len(w.nodes) {
+		w.nodes = append(w.nodes, nodePages.Get().(*nodePage))
+	}
+	w.n++
+	*w.node(id) = wnode{parent: p, sym: sym, depth: depth, kidSym: -1, kid: -1, row: -1}
+	return id
+}
+
+// newRow carves a dense child row of len(alpha) slots, all -1, from
+// the row pages and returns its offset and the row.
+func (w *Words) newRow() (int32, []int32) {
+	k := int32(len(w.alpha))
+	if w.rowEnd&rowPageMask+k > rowPageMask+1 {
+		w.rowEnd = (w.rowEnd>>rowPageBits + 1) << rowPageBits // next page
+	}
+	if int(w.rowEnd>>rowPageBits) == len(w.rows) {
+		w.rows = append(w.rows, rowPages.Get().(*rowPage))
+	}
+	off := w.rowEnd
+	w.rowEnd += k
+	r := w.rows[off>>rowPageBits][off&rowPageMask : off&rowPageMask+k]
+	for i := range r {
+		r[i] = -1
+	}
+	return off, r
+}
+
 // add registers a new child of p along sym — the caller has checked it
 // is absent — and returns its ID.
 func (w *Words) add(p, sym int32) int32 {
-	id := int32(len(w.parent))
-	w.parent = append(w.parent, p)
-	w.sym = append(w.sym, sym)
-	w.depth = append(w.depth, w.depth[p]+1)
-	w.kidSym = append(w.kidSym, -1)
-	w.kid = append(w.kid, -1)
-	w.rowIdx = append(w.rowIdx, -1)
-
-	if w.kidSym[p] < 0 {
-		w.kidSym[p] = sym
-		w.kid[p] = id
+	id := w.newNode(p, sym, w.node(p).depth+1)
+	pn := w.node(p)
+	if pn.kidSym < 0 {
+		pn.kidSym = sym
+		pn.kid = id
 		return id
 	}
 	if w.dense {
-		ai := w.aiOf[sym]
-		r := w.row(p)
-		if r == nil && ai >= 0 {
-			// Second in-alphabet child: promote to a dense row, seeding
-			// it with the inline child (which stays findable through its
-			// slot either way).
-			w.rowIdx[p] = int32(len(w.rowData) / len(w.alpha))
-			for range w.alpha {
-				w.rowData = append(w.rowData, -1)
+		if ai := w.aiOf[sym]; ai >= 0 {
+			if pn.row < 0 {
+				// Second in-alphabet child: promote to a dense row,
+				// seeding it with the inline child (which stays findable
+				// through its slot either way).
+				off, r := w.newRow()
+				pn.row = off
+				if fai := w.aiOf[pn.kidSym]; fai >= 0 {
+					r[fai] = pn.kid
+				}
 			}
-			r = w.rowData[len(w.rowData)-len(w.alpha):]
-			if fai := w.aiOf[w.kidSym[p]]; fai >= 0 {
-				r[fai] = w.kid[p]
-			}
-		}
-		if r != nil && ai >= 0 {
-			r[ai] = id
+			w.rows[pn.row>>rowPageBits][int(pn.row&rowPageMask)+int(ai)] = id
 			return id
 		}
 	}
@@ -260,7 +327,7 @@ func (w *Words) add(p, sym int32) int32 {
 
 // appendWord appends node id's word to dst, back to front.
 func (w *Words) appendWord(dst []string, id int32) []string {
-	n := int(w.depth[id])
+	n := int(w.node(id).depth)
 	base := len(dst)
 	if cap(dst) < base+n {
 		// Grow like append: doubling keeps a flat multi-word buffer (the
@@ -274,8 +341,10 @@ func (w *Words) appendWord(dst []string, id int32) []string {
 		dst = grown
 	}
 	dst = dst[:base+n]
-	for cur, i := id, base+n-1; cur > 0; cur, i = w.parent[cur], i-1 {
-		dst[i] = w.symStr[w.sym[cur]]
+	for cur, i := id, base+n-1; cur > 0; i-- {
+		nd := w.node(cur)
+		dst[i] = w.symStr[nd.sym]
+		cur = nd.parent
 	}
 	return dst
 }

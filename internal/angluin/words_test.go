@@ -2,6 +2,7 @@ package angluin
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -59,8 +60,8 @@ func TestTriePropertyAgainstStringJoinOracle(t *testing.T) {
 			if got := strings.Join(w.Word(id), "\x00"); got != key {
 				t.Fatalf("trial %d: Word(%d) joins to %q, want %q", trial, id, got, key)
 			}
-			if int(w.depth[id]) != n {
-				t.Fatalf("trial %d: depth(%d) = %d, want %d", trial, id, w.depth[id], n)
+			if int(w.node(id).depth) != n {
+				t.Fatalf("trial %d: depth(%d) = %d, want %d", trial, id, w.node(id).depth, n)
 			}
 		}
 		// Distinct keys must occupy distinct IDs (the trie is a perfect
@@ -95,13 +96,13 @@ func TestTrieSharedSymbolTable(t *testing.T) {
 	defer w2.Release()
 	c1 := w1.Intern([]string{"c"})
 	c2 := w2.Intern([]string{"c"})
-	if w1.sym[c1] != w2.sym[c2] {
+	if w1.node(c1).sym != w2.node(c2).sym {
 		t.Fatalf("shared table resolved c to different IDs")
 	}
 	if tab.Len() != 3 {
 		t.Fatalf("table has %d symbols, want 3 (a, b, c)", tab.Len())
 	}
-	if tab.Sym(w1.sym[w1.Intern([]string{"a"})]) != "a" {
+	if tab.Sym(w1.node(w1.Intern([]string{"a"})).sym) != "a" {
 		t.Fatalf("Sym(ID(a)) != a")
 	}
 }
@@ -280,9 +281,92 @@ func TestScratchPinsNoSymbols(t *testing.T) {
 		}
 	}
 	words.Release()
-	for i, s := range words.symStr[:cap(words.symStr)] {
+	checkReleased(t, words)
+}
+
+// checkReleased fails if a released Words still holds a page or a
+// symbol string anywhere in its buffers' capacity.
+func checkReleased(t *testing.T, w *Words) {
+	t.Helper()
+	for i, s := range w.symStr[:cap(w.symStr)] {
 		if s != "" {
 			t.Fatalf("released Words symStr[%d] pins %q", i, s)
 		}
+	}
+	for i, pg := range w.nodes[:cap(w.nodes)] {
+		if pg != nil {
+			t.Fatalf("released Words holds node page %d", i)
+		}
+	}
+	for i, pg := range w.rows[:cap(w.rows)] {
+		if pg != nil {
+			t.Fatalf("released Words holds row page %d", i)
+		}
+	}
+}
+
+// TestWordsPagesAgainstOracle grows Words across at least three node
+// pages and three row pages and checks them against the string-join
+// oracle: Word, Intern and InternSyms agree, and equal keys share an ID
+// while distinct keys never do. The alphabets are 1 symbol (a row page
+// holds the most rows), 77 (the XMark document's) and 256, the largest
+// dense alphabet, whose row pages hold the fewest rows. Each round
+// extends a random earlier word by one symbol and gives the result two
+// children, the second in the alphabet, so nearly every round promotes
+// a node to a dense row. Symbols are also drawn from eight outside the
+// alphabet, which exercises the packed-map children and lets the
+// 1-symbol trie promote at all: a node promotes on its second child in
+// the alphabet or on its first after an outside one.
+func TestWordsPagesAgainstOracle(t *testing.T) {
+	for _, nsym := range []int{1, 77, denseAlphabetMax} {
+		rng := rand.New(rand.NewSource(int64(nsym)))
+		alphabet := make([]string, nsym)
+		for i := range alphabet {
+			alphabet[i] = fmt.Sprintf("s%03d", i)
+		}
+		pool := append([]string{"x0", "x1", "x2", "x3", "x4", "x5", "x6", "x7"}, alphabet...)
+		tab := NewSymbolTable()
+		w := NewWords(tab, alphabet)
+		idOf := map[string]int32{"": 0}
+		words := [][]string{nil}
+		intern := func(word []string) {
+			key := strings.Join(word, "\x00")
+			var id int32
+			if len(idOf)%2 == 0 {
+				id = w.Intern(word)
+			} else {
+				id = w.InternSyms(tab.AppendIDs(nil, word))
+			}
+			if prev, seen := idOf[key]; seen && prev != id {
+				t.Fatalf("%d symbols: key %q got ID %d, previously %d", nsym, key, id, prev)
+			}
+			idOf[key] = id
+			words = append(words, word)
+		}
+		for len(w.nodes) < 3 || len(w.rows) < 3 {
+			base := words[rng.Intn(len(words))]
+			p := append(base[:len(base):len(base)], pool[rng.Intn(len(pool))])
+			intern(p)
+			intern(append(p[:len(p):len(p)], pool[rng.Intn(len(pool))]))
+			intern(append(p[:len(p):len(p)], alphabet[rng.Intn(nsym)]))
+		}
+		ids := map[int32]string{}
+		for key, id := range idOf {
+			if other, dup := ids[id]; dup {
+				t.Fatalf("%d symbols: ID %d shared by keys %q and %q", nsym, id, key, other)
+			}
+			ids[id] = key
+			if got := strings.Join(w.Word(id), "\x00"); got != key {
+				t.Fatalf("%d symbols: Word(%d) joins to %q, want %q", nsym, id, got, key)
+			}
+			if key != "" {
+				if again := w.Intern(strings.Split(key, "\x00")); again != id {
+					t.Fatalf("%d symbols: re-interning %q gave ID %d, want %d", nsym, key, again, id)
+				}
+			}
+		}
+		t.Logf("%d symbols: %d words, %d nodes, %d node pages, %d row pages", nsym, len(idOf), w.Len(), len(w.nodes), len(w.rows))
+		w.Release()
+		checkReleased(t, w)
 	}
 }

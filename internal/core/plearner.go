@@ -393,12 +393,7 @@ func (p *pLearner) positivesShareRelPath(ctxNode *xmldoc.Node, steps []string, p
 func (p *pLearner) hypothesisExtent(h *pathre.DFA) []*xmldoc.Node {
 	if p.hypDFA != h {
 		p.hypDFA = h
-		p.hypPaths = p.hypPaths[:0]
-		for i := range p.eng.paths {
-			if h.Accepts(p.eng.paths[i].labels) {
-				p.hypPaths = append(p.hypPaths, int32(i))
-			}
-		}
+		p.hypPaths = p.eng.acceptedPaths(p.hypPaths[:0], h)
 	}
 	ix := p.eng.eval.Index()
 	var out []*xmldoc.Node

@@ -48,15 +48,13 @@ func Compile(e Expr, alphabet []string) *DFA {
 		syms = append(syms, s)
 	}
 	sort.Strings(syms)
-	symIdx := make(map[string]int, len(syms))
-	for i, s := range syms {
-		symIdx[s] = i
-	}
+	symIdx := indexOf(syms)
 
 	m := newNFA()
 	f := build(m, e, symIdx)
 	m.start, m.accept = f.in, f.out
-	return subset(m, syms).Minimize()
+	acc, trans := subset(m, len(syms))
+	return minimal(syms, symIdx, 0, acc, trans)
 }
 
 func build(m *nfa, e Expr, sym map[string]int) frag {
@@ -123,8 +121,11 @@ func build(m *nfa, e Expr, sym map[string]int) frag {
 	}
 }
 
-// subset performs the subset construction producing a complete DFA.
-func subset(m *nfa, alphabet []string) *DFA {
+// subset performs the subset construction over k symbols, building
+// the complete DFA straight into minimal's input form: subset states in
+// discovery order (all reachable, state 0 the start), acceptance
+// acc[i], and successors trans[i*k+s].
+func subset(m *nfa, k int) (acc []bool, trans []int32) {
 	closure := func(set map[int]bool) map[int]bool {
 		stack := make([]int, 0, len(set))
 		for q := range set {
@@ -156,14 +157,11 @@ func subset(m *nfa, alphabet []string) *DFA {
 	}
 
 	startSet := closure(map[int]bool{m.start: true})
-	ids := map[string]int{key(startSet): 0}
+	ids := map[string]int32{key(startSet): 0}
 	sets := []map[int]bool{startSet}
-	var trans [][]int
-	trans = append(trans, make([]int, len(alphabet)))
-
 	for i := 0; i < len(sets); i++ {
 		cur := sets[i]
-		for s := range alphabet {
+		for s := 0; s < k; s++ {
 			nxt := map[int]bool{}
 			for q := range cur {
 				for _, e := range m.edges[q] {
@@ -173,23 +171,19 @@ func subset(m *nfa, alphabet []string) *DFA {
 				}
 			}
 			nxt = closure(nxt)
-			k := key(nxt)
-			id, ok := ids[k]
+			sk := key(nxt)
+			id, ok := ids[sk]
 			if !ok {
-				id = len(sets)
-				ids[k] = id
+				id = int32(len(sets))
+				ids[sk] = id
 				sets = append(sets, nxt)
-				trans = append(trans, make([]int, len(alphabet)))
 			}
-			trans[i][s] = id
+			trans = append(trans, id)
 		}
 	}
-
-	d := NewDFA(alphabet, len(sets))
-	d.Start = 0
-	d.Trans = trans
+	acc = make([]bool, len(sets))
 	for i, set := range sets {
-		d.Accept[i] = set[m.accept]
+		acc[i] = set[m.accept]
 	}
-	return d
+	return acc, trans
 }

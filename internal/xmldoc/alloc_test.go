@@ -40,3 +40,19 @@ func TestParseStringAllocs(t *testing.T) {
 			perNode, allocs, nodes)
 	}
 }
+
+// TestEscapeAllocs: escaping a string with nothing to escape allocates
+// nothing — the escapers are built once, not per call, and a Replacer
+// returns its input unchanged when no pattern occurs.
+func TestEscapeAllocs(t *testing.T) {
+	for name, escape := range map[string]func(string) string{"text": escapeText, "attr": escapeAttr} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if escape("plain value 42") != "plain value 42" {
+				t.Fatal("clean string changed")
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s escaper allocates %.0f objects on a clean string, want 0", name, allocs)
+		}
+	}
+}

@@ -111,12 +111,14 @@ func textOnly(n *Node) bool {
 	return true
 }
 
-func escapeText(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	return r.Replace(s)
-}
+// The escapers are built once: a strings.Replacer is safe for
+// concurrent use, and building one per call allocated on every text
+// node and attribute serialized.
+var (
+	textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
+	attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", `"`, "&quot;")
+)
 
-func escapeAttr(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+func escapeText(s string) string { return textEscaper.Replace(s) }
+
+func escapeAttr(s string) string { return attrEscaper.Replace(s) }
