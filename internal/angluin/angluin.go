@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/pathre"
 )
@@ -30,16 +31,18 @@ type Teacher interface {
 	Equivalent(hypothesis *pathre.DFA) (counterexample []string, ok bool, err error)
 }
 
-// IDTeacher is an optional Teacher extension. MemberID is Member with
-// the word's ID in the Words the learner runs over (see Words and
-// WithWords): the learner tracks every word it asks about as a trie
-// node anyway, so a teacher that keeps its own per-word answer state
-// can index it by the ID instead of hashing the word. IDs are stable
-// for the life of the Words, across Learn calls. The word-validity
-// contract is Member's.
+// IDTeacher is an optional Teacher extension: MemberID is Member for
+// the word with the given ID in the Words the learner runs over. The
+// learner tracks every word it asks about as a trie node anyway, so a
+// teacher that keeps its own per-word answer state indexes it by the
+// ID instead of hashing the word, and reads the word itself from the
+// Words (Depth, LastSym, AppendWord) only when it needs it. The teacher
+// must hand that Words to the learner with WithWords; Learn and LearnKV
+// refuse an ID teacher without one. IDs are stable for the life of the
+// Words, across Learn calls.
 type IDTeacher interface {
 	Teacher
-	MemberID(word []string, id int32) (bool, error)
+	MemberID(id int32) (bool, error)
 }
 
 // Stats counts the queries the learner issued. Membership queries are
@@ -88,7 +91,9 @@ func WithMaxEquivalenceQueries(n int) Option {
 // target over several Learn calls passes the same Words to each and
 // keeps its ID-indexed answer state valid across them. Without this
 // option the learner interns into a pooled private Words it releases
-// on return.
+// on return; the ID forms of the seam (IDTeacher, IDBatchTeacher,
+// Speculator) need this option, because their IDs mean nothing outside
+// the Words.
 func WithWords(w *Words) Option {
 	return func(l *learner) { l.tr = w }
 }
@@ -103,6 +108,24 @@ func Learn(alphabet []string, t Teacher, opts ...Option) (*pathre.DFA, Stats, er
 
 // learnIn is Learn over the given scratch.
 func learnIn(sc *scratch, alphabet []string, t Teacher, opts ...Option) (*pathre.DFA, Stats, error) {
+	l, err := newLearner(alphabet, t, opts...)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	if l.tr == nil {
+		l.tr = NewWords(nil, l.alphabet)
+		defer l.tr.Release()
+	}
+	l.adopt(sc)
+	defer l.release(sc)
+	l.grow()
+	return l.run()
+}
+
+// newLearner configures a learner for the teacher, checking the Words
+// option; the caller supplies the Words when none was given and the
+// scratch.
+func newLearner(alphabet []string, t Teacher, opts ...Option) (*learner, error) {
 	l := &learner{
 		alphabet: append([]string(nil), alphabet...),
 		teacher:  t,
@@ -115,19 +138,37 @@ func learnIn(sc *scratch, alphabet []string, t Teacher, opts ...Option) (*pathre
 	for _, o := range opts {
 		o(l)
 	}
-	if l.tr == nil {
-		l.tr = NewWords(nil, l.alphabet)
-		defer l.tr.Release()
-	} else if !l.tr.hasAlphabet(l.alphabet) {
-		return nil, Stats{}, errWordsAlphabet
-	}
-	l.adopt(sc)
-	defer l.release(sc)
-	l.grow()
-	return l.run()
+	return l, checkWords(l.tr, l.alphabet, t)
 }
 
-var errWordsAlphabet = errors.New("angluin: Words built for a different alphabet")
+var (
+	errWordsAlphabet = errors.New("angluin: Words built for a different alphabet")
+	errIDsNeedWords  = errors.New("angluin: an ID teacher or Speculator needs WithWords")
+	// ErrNotClosed reports a hypothesis requested from an observation
+	// table that is not closed: a one-symbol extension of S whose row no
+	// prefix in S realizes. close() establishes closedness before every
+	// hypothesis, so the error means a bookkeeping bug, never a teacher
+	// fault.
+	ErrNotClosed = errors.New("angluin: observation table not closed")
+)
+
+// checkWords validates the Words a Learn or LearnKV call runs over:
+// built for the same alphabet when given, and given whenever the
+// teacher takes word IDs.
+func checkWords(w *Words, alphabet []string, t Teacher) error {
+	if w == nil {
+		_, ids := t.(IDTeacher)
+		_, spec := t.(Speculator)
+		if ids || spec {
+			return errIDsNeedWords
+		}
+		return nil
+	}
+	if !w.hasAlphabet(alphabet) {
+		return errWordsAlphabet
+	}
+	return nil
+}
 
 // Membership-table cell states: the table is a dense array indexed by
 // trie node ID, so a probe is one load instead of a string-keyed map
@@ -142,7 +183,9 @@ type learner struct {
 	alphabet []string
 	teacher  Teacher
 	// ids is teacher's IDTeacher form when it implements one (nil
-	// otherwise); membership misses prefer it, passing the word's ID.
+	// otherwise); membership misses prefer it, passing only the word's
+	// ID. Words are materialized for the plain Teacher/BatchTeacher
+	// forms alone.
 	ids IDTeacher
 	// batch/bids are the teacher's batch forms when implemented: the
 	// closedness scan then prefills whole query sets per round trip
@@ -198,19 +241,25 @@ type learner struct {
 	// closedness query set was batch-prefetched (see prefill); reset
 	// with the epoch.
 	prefilled int
-	// wb is the scratch for the words asked one at a time (the Teacher
-	// contract forbids retaining them).
-	wb []string
-	// Batch-wave scratch, reused across waves (see prefill): wvSyms
-	// flat-stores the wave's words back to back and wvOff records each
-	// word's start, so the per-word slice headers (wvWords) are carved
-	// only after the flat buffer stops growing. Word slices carved from
-	// wvSyms are only valid for the batch call — exactly the Teacher
-	// word contract.
+	// Batch-wave scratch, reused across waves (see prefill): wvWids is
+	// the wave's query set by word ID; pfRows lists the rows the wave
+	// fills and pfCells the word ID of each of their unfilled cells,
+	// row after row, so the landed answers are appended to the rows
+	// without walking the cells again.
+	wvWids  []int32
+	pfRows  []int32
+	pfCells []int32
+	// Word scratch for the plain Teacher/BatchTeacher forms only; an ID
+	// teacher never gets a word from the learner. wb holds the word
+	// asked one at a time; for a wave, wvSyms flat-stores the words back
+	// to back and wvOff records each word's start, so the per-word slice
+	// headers (wvWords) are carved only after the flat buffer stops
+	// growing. All are only valid for the teacher call, exactly the
+	// Teacher word contract.
+	wb      []string
 	wvSyms  []string
 	wvOff   []int32
 	wvWords [][]string
-	wvWids  []int32
 	// wbHigh/wvHigh/wvWordsHigh are the largest lengths wb, wvSyms and
 	// wvWords reached in this Learn: release clears the string-holding
 	// buffers only that far (see scratch.go).
@@ -331,18 +380,21 @@ func (l *learner) member(w []string) (bool, error) {
 	if v := l.ans[id]; v != ansUnknown {
 		return v == ansYes, nil
 	}
-	return l.ask(w, id)
+	return l.ask(id)
 }
 
-// ask puts one membership query to the teacher — with the word's ID
-// when the teacher takes one — and charges and records the answer.
-func (l *learner) ask(w []string, id int32) (bool, error) {
+// ask puts one membership query to the teacher — by ID when the teacher
+// takes one, else as the materialized word — and charges and records
+// the answer.
+func (l *learner) ask(id int32) (bool, error) {
 	var v bool
 	var err error
 	if l.ids != nil {
-		v, err = l.ids.MemberID(w, id)
+		v, err = l.ids.MemberID(id)
 	} else {
-		v, err = l.teacher.Member(w)
+		l.wb = l.tr.AppendWord(l.wb[:0], id)
+		l.wbHigh = max(l.wbHigh, len(l.wb))
+		v, err = l.teacher.Member(l.wb)
 	}
 	if err != nil {
 		return false, err
@@ -357,34 +409,32 @@ func (l *learner) ask(w []string, id int32) (bool, error) {
 // E only grows, so the cached row stays correct column-for-column
 // forever: a call after a suffix was added probes just the new columns.
 // A cell's membership lookup walks the suffix symbols from the prefix
-// node — integer steps, no string building — and the concatenated word
-// is materialized only when the teacher actually has to be asked. The
-// returned slice aliases the entry's growing buffer — valid until the
-// next row call for the same prefix, which callers never interleave.
+// node — integer steps, no string building — and asks the teacher only
+// on a miss. Under a batch teacher prefill has already filled every
+// row the scans read, so this loop runs only for the serial teacher.
+// The returned slice aliases the entry's growing buffer — valid until
+// the next row call for the same prefix, which callers never
+// interleave.
 func (l *learner) row(id int32) ([]byte, error) {
 	ent := l.rowEnt(id)
-	if len(ent.bits) == len(l.e) {
-		return ent.bits, nil
-	}
 	for i := len(ent.bits); i < len(l.e); i++ {
 		wid := l.walk(id, l.eSyms[i])
-		v := l.ans[wid]
-		if v == ansUnknown {
-			w := l.tr.appendWord(l.wb[:0], wid)
-			l.wb = w
-			l.wbHigh = max(l.wbHigh, len(w))
-			if _, err := l.ask(w, wid); err != nil {
+		if l.ans[wid] == ansUnknown {
+			if _, err := l.ask(wid); err != nil {
 				return nil, err
 			}
-			v = l.ans[wid]
 		}
-		if v == ansYes {
-			ent.bits = append(ent.bits, '1')
-		} else {
-			ent.bits = append(ent.bits, '0')
-		}
+		ent.bits = append(ent.bits, cellBit(l.ans[wid]))
 	}
 	return ent.bits, nil
+}
+
+// cellBit renders an answered cell as its row byte.
+func cellBit(v uint8) byte {
+	if v == ansYes {
+		return '1'
+	}
+	return '0'
 }
 
 func (l *learner) addPrefix(id int32) {
@@ -583,7 +633,8 @@ func (l *learner) fixInconsistency() (bool, error) {
 }
 
 // hypothesis builds the conjectured DFA from the closed, consistent
-// observation table.
+// observation table. An extension row missing from S fails with
+// ErrNotClosed, naming the extension.
 func (l *learner) hypothesis() (*pathre.DFA, error) {
 	// Unique rows of S become states.
 	stateOf := map[string]int{}
@@ -618,8 +669,8 @@ func (l *learner) hypothesis() (*pathre.DFA, error) {
 			}
 			target, ok := stateOf[string(re)]
 			if !ok {
-				// Table is closed, so this cannot happen; guard anyway.
-				target = qi
+				return nil, fmt.Errorf("%w: extension %q has row %s, realized by no prefix in S",
+					ErrNotClosed, "/"+strings.Join(l.tr.Word(l.extID(rep, ai)), "/"), re)
 			}
 			d.Trans[qi][col[ai]] = target
 		}

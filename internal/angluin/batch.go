@@ -35,26 +35,32 @@ type BatchTeacher interface {
 }
 
 // IDBatchTeacher is the ID form of BatchTeacher (see IDTeacher): the
-// learner passes every word's ID alongside, same index. The learner
-// never grows its Words while a batch is in flight.
+// learner passes the query set as word IDs only, and the returned slice
+// has one answer per ID, same index. The ids slice is only valid for
+// the duration of the call. The learner never grows its Words while a
+// batch is in flight, so the teacher may read words from it throughout.
 type IDBatchTeacher interface {
 	IDTeacher
-	MemberBatchIDs(words [][]string, ids []int32) ([]bool, error)
+	MemberBatchIDs(ids []int32) ([]bool, error)
 }
 
 // Speculator is an optional extension of a batch teacher. While a
 // batch is in flight the learner offers the teacher's local side the
-// cells a pending closedness check needs; the implementation may
-// precompute an answer from local knowledge only — caches, auto-answer
-// rules, a mirrored truth extent — returning ok=false whenever it
-// cannot promise that the value equals what the committed dialogue will
-// produce. SpeculateMember must be free of dialogue side effects (no
-// counter charges, no cache writes) and safe to call concurrently with
-// an in-flight MemberBatch on the same teacher; the learner reconciles
-// every speculated value against the landed answer and counts it kept
-// or discarded (Stats.SpeculationKept/SpeculationDiscarded).
+// cells a pending closedness check needs, by word ID in the Words the
+// teacher passed with WithWords (a Speculator needs that option, see
+// IDTeacher); the implementation may precompute an answer from local
+// knowledge only — caches, auto-answer rules, a mirrored truth extent —
+// returning ok=false whenever it cannot promise that the value equals
+// what the committed dialogue will produce. SpeculateMember must be
+// free of dialogue side effects (no counter charges, no cache writes)
+// and safe to call concurrently with an in-flight MemberBatch on the
+// same teacher: the two may read the Words at once, which is safe
+// because nothing grows it until the batch lands, but must not share
+// any other scratch. The learner reconciles every speculated value
+// against the landed answer and counts it kept or discarded
+// (Stats.SpeculationKept/SpeculationDiscarded).
 type Speculator interface {
-	SpeculateMember(word []string, id int32) (ans bool, ok bool)
+	SpeculateMember(id int32) (ans bool, ok bool)
 }
 
 // SerialAdapter adapts any single-query Teacher to the batch seam by
@@ -83,25 +89,26 @@ func (a SerialAdapter) MemberBatch(words [][]string) ([]bool, error) {
 	return out, nil
 }
 
-// askWave ships one query set to the batch teacher and commits the
-// answers by index: l.ans[wids[i]] = answers[i], one membership-query
-// charge per word, exactly as the serial learner would have charged
-// asking the same cells one at a time. Without a Speculator the call is
-// synchronous. With one, the call runs on its own goroutine with a
-// buffered result channel — if the teacher aborts on a canceled session
-// the goroutine still completes its send and exits, so cancellation
-// mid-batch leaks nothing — and while the round trip is in flight the
-// calling goroutine offers the same set to the Speculator and
-// reconciles the precomputed values against the landed answers.
-func (l *learner) askWave(words [][]string, wids []int32) error {
-	if len(words) == 0 {
+// askWave ships one query set, by word ID, to the batch teacher and
+// commits the answers by index: l.ans[wids[i]] = answers[i], one
+// membership-query charge per word, exactly as the serial learner would
+// have charged asking the same cells one at a time. Without a
+// Speculator the call is synchronous. With one, the call runs on its
+// own goroutine with a buffered result channel — if the teacher aborts
+// on a canceled session the goroutine still completes its send and
+// exits, so cancellation mid-batch leaks nothing — and while the round
+// trip is in flight the calling goroutine offers the same set to the
+// Speculator and reconciles the precomputed values against the landed
+// answers.
+func (l *learner) askWave(wids []int32) error {
+	if len(wids) == 0 {
 		return nil
 	}
 	var ans []bool
 	var parked map[int]bool
 	var err error
 	if l.spec == nil {
-		ans, err = l.memberBatch(words, wids)
+		ans, err = l.memberBatch(wids)
 	} else {
 		type batchRes struct {
 			ans []bool
@@ -109,13 +116,13 @@ func (l *learner) askWave(words [][]string, wids []int32) error {
 		}
 		ch := make(chan batchRes, 1)
 		go func() {
-			a, err := l.memberBatch(words, wids)
+			a, err := l.memberBatch(wids)
 			ch <- batchRes{a, err}
 		}()
-		for i, w := range words {
-			if v, ok := l.spec.SpeculateMember(w, wids[i]); ok {
+		for i, wid := range wids {
+			if v, ok := l.spec.SpeculateMember(wid); ok {
 				if parked == nil {
-					parked = make(map[int]bool, len(words)-i)
+					parked = make(map[int]bool, len(wids)-i)
 				}
 				parked[i] = v
 				l.stats.Speculated++
@@ -127,11 +134,11 @@ func (l *learner) askWave(words [][]string, wids []int32) error {
 	if err != nil {
 		return err
 	}
-	if len(ans) != len(words) {
-		return fmt.Errorf("angluin: batch teacher answered %d of %d queries", len(ans), len(words))
+	if len(ans) != len(wids) {
+		return fmt.Errorf("angluin: batch teacher answered %d of %d queries", len(ans), len(wids))
 	}
 	l.stats.BatchRounds++
-	l.stats.BatchedQueries += len(words)
+	l.stats.BatchedQueries += len(wids)
 	for i, wid := range wids {
 		l.setAns(wid, ans[i])
 		l.stats.MembershipQueries++
@@ -146,13 +153,46 @@ func (l *learner) askWave(words [][]string, wids []int32) error {
 	return nil
 }
 
-// memberBatch makes one batch round trip, through the ID form when the
-// teacher has one.
-func (l *learner) memberBatch(words [][]string, wids []int32) ([]bool, error) {
+// memberBatch makes one batch round trip: by ID when the teacher takes
+// IDs, else with the wave's words materialized into the word scratch.
+// It may run on the wave goroutine next to the Speculator, and touches
+// no learner state the Speculator path does.
+func (l *learner) memberBatch(wids []int32) ([]bool, error) {
 	if l.bids != nil {
-		return l.bids.MemberBatchIDs(words, wids)
+		return l.bids.MemberBatchIDs(wids)
 	}
-	return l.batch.MemberBatch(words)
+	return l.batch.MemberBatch(l.waveWords(wids))
+}
+
+// waveWords materializes a wave's words for a plain BatchTeacher into
+// the reused flat scratch: word symbols back to back in wvSyms,
+// per-word start offsets alongside. Appends may move the flat buffer,
+// so the per-word headers are carved only after it stops growing; once
+// the buffers have grown, a wave costs no allocation instead of a word
+// slice per query.
+func (l *learner) waveWords(wids []int32) [][]string {
+	l.wvSyms = l.wvSyms[:0]
+	l.wvOff = l.wvOff[:0]
+	for _, wid := range wids {
+		l.wvOff = append(l.wvOff, int32(len(l.wvSyms)))
+		l.wvSyms = l.tr.AppendWord(l.wvSyms, wid)
+	}
+	n := len(wids)
+	words := l.wvWords[:0]
+	if cap(words) < n {
+		words = make([][]string, 0, n)
+	}
+	for i := 0; i < n; i++ {
+		we := int32(len(l.wvSyms))
+		if i+1 < n {
+			we = l.wvOff[i+1]
+		}
+		words = append(words, l.wvSyms[l.wvOff[i]:we:we])
+	}
+	l.wvWords = words
+	l.wvHigh = max(l.wvHigh, len(l.wvSyms))
+	l.wvWordsHigh = max(l.wvWordsHigh, n)
+	return words
 }
 
 // prefill emits the query set a pending closedness check needs — every
@@ -161,9 +201,11 @@ func (l *learner) memberBatch(words [][]string, wids []int32) ([]bool, error) {
 // rows of S (the tabled loop's cells, row by row, column by column),
 // then the extension rows in scan order. Cells already answered in the
 // table contribute nothing; duplicate words within the wave (distinct
-// prefix·suffix splits of one word) are asked once, as serially.
-// Without a batch teacher prefill is a no-op and the scan asks cell by
-// cell as before.
+// prefix·suffix splits of one word) are asked once, as serially. Each
+// cell is walked once: collection records the cell's word ID per row,
+// and once the wave lands the answers are appended to the rows, so the
+// scans' row calls that follow are pure reads. Without a batch teacher
+// prefill is a no-op and the scan asks cell by cell.
 func (l *learner) prefill() error {
 	from := l.prefilled
 	l.prefilled = len(l.s)
@@ -171,24 +213,22 @@ func (l *learner) prefill() error {
 		return nil
 	}
 	l.waveEpoch++
-	// Collect into the reused flat scratch: word symbols back to back in
-	// wvSyms, per-word start offsets alongside. Appends may move the
-	// flat buffer, so the per-word headers are carved only after
-	// collection finishes — the whole wave then costs no allocation
-	// once the buffers have grown, instead of a word slice per query.
-	l.wvSyms = l.wvSyms[:0]
-	l.wvOff = l.wvOff[:0]
 	l.wvWids = l.wvWids[:0]
+	l.pfRows = l.pfRows[:0]
+	l.pfCells = l.pfCells[:0]
 	collect := func(id int32) {
-		ent := l.rowEnt(id)
-		for i := len(ent.bits); i < len(l.e); i++ {
+		have := len(l.rowEnt(id).bits)
+		if have == len(l.e) {
+			return
+		}
+		l.pfRows = append(l.pfRows, id)
+		for i := have; i < len(l.e); i++ {
 			wid := l.walk(id, l.eSyms[i])
+			l.pfCells = append(l.pfCells, wid)
 			if l.ans[wid] != ansUnknown || l.waveMark[wid] == l.waveEpoch {
 				continue
 			}
 			l.waveMark[wid] = l.waveEpoch
-			l.wvOff = append(l.wvOff, int32(len(l.wvSyms)))
-			l.wvSyms = l.tr.appendWord(l.wvSyms, wid)
 			l.wvWids = append(l.wvWids, wid)
 		}
 	}
@@ -204,23 +244,19 @@ func (l *learner) prefill() error {
 			collect(eid)
 		}
 	}
-	n := len(l.wvWids)
-	if n == 0 {
-		return nil
+	if err := l.askWave(l.wvWids); err != nil {
+		return err
 	}
-	words := l.wvWords[:0]
-	if cap(words) < n {
-		words = make([][]string, 0, n)
-	}
-	for i := 0; i < n; i++ {
-		we := int32(len(l.wvSyms))
-		if i+1 < n {
-			we = l.wvOff[i+1]
+	// Every recorded cell is answered now: it was answered before the
+	// wave or asked in it.
+	cells := l.pfCells
+	for _, id := range l.pfRows {
+		ent := l.rowEnt(id)
+		n := len(l.e) - len(ent.bits)
+		for _, wid := range cells[:n] {
+			ent.bits = append(ent.bits, cellBit(l.ans[wid]))
 		}
-		words = append(words, l.wvSyms[l.wvOff[i]:we:we])
+		cells = cells[n:]
 	}
-	l.wvWords = words
-	l.wvHigh = max(l.wvHigh, len(l.wvSyms))
-	l.wvWordsHigh = max(l.wvWordsHigh, n)
-	return l.askWave(words, l.wvWids)
+	return nil
 }

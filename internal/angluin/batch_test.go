@@ -62,15 +62,19 @@ func (t *batchTeacher) MemberBatch(words [][]string) ([]bool, error) {
 	return out, nil
 }
 
-// speculatingTeacher precomputes answers for every offered cell; wrong
-// on words containing the poisoned symbol, so reconcile must discard
-// those and keep the rest without perturbing the dialogue.
+// speculatingTeacher precomputes answers for every offered cell, read
+// back by ID from the Words the learner runs over (words, passed with
+// WithWords); wrong on words containing the poisoned symbol, so
+// reconcile must discard those and keep the rest without perturbing
+// the dialogue.
 type speculatingTeacher struct {
 	batchTeacher
+	words  *Words
 	poison string
 }
 
-func (t *speculatingTeacher) SpeculateMember(word []string, _ int32) (bool, bool) {
+func (t *speculatingTeacher) SpeculateMember(id int32) (bool, bool) {
+	word := t.words.Word(id)
 	v := t.target.Accepts(word)
 	for _, s := range word {
 		if s == t.poison {
@@ -150,15 +154,17 @@ func TestBatchAnswersOrderIndependent(t *testing.T) {
 			// with speculative successor precompute), so give it one.
 			var teach Teacher
 			var bt *batchTeacher
+			words := NewWords(nil, alphabet)
 			if name == "kv" {
 				st := &speculatingTeacher{batchTeacher: batchTeacher{
-					perfectTeacher: perfectTeacher{target}, shuffle: true}}
+					perfectTeacher: perfectTeacher{target}, shuffle: true}, words: words}
 				bt, teach = &st.batchTeacher, st
 			} else {
 				bt = &batchTeacher{perfectTeacher: perfectTeacher{target}, shuffle: true}
 				teach = bt
 			}
-			dBatch, stBatch, err := learn(alphabet, teach)
+			dBatch, stBatch, err := learn(alphabet, teach, WithWords(words))
+			words.Release()
 			if err != nil {
 				t.Fatalf("%s batched %s: %v", name, path, err)
 			}
@@ -204,11 +210,14 @@ func TestBatchShortAnswerRejected(t *testing.T) {
 func TestSpeculationReconcile(t *testing.T) {
 	for _, poison := range []string{"", "regions"} {
 		target := pathre.Compile(pathre.MustParsePath("/site/regions/(europe|africa)/item"), alphabet)
+		words := NewWords(nil, alphabet)
 		st := &speculatingTeacher{
 			batchTeacher: batchTeacher{perfectTeacher: perfectTeacher{target}},
+			words:        words,
 			poison:       poison,
 		}
-		d, stats, err := Learn(alphabet, st)
+		d, stats, err := Learn(alphabet, st, WithWords(words))
+		words.Release()
 		if err != nil {
 			t.Fatalf("poison=%q: %v", poison, err)
 		}

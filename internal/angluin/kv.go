@@ -16,11 +16,15 @@ import (
 	"repro/internal/pathre"
 )
 
+// ctNode is a classification-tree node. Words are kept as IDs in the
+// learner's Words: a sift probe is the access or sifted word's node
+// walked along the suffix's symbol IDs, so no probe word is built
+// unless a plain Teacher must be asked it.
 type ctNode struct {
-	// suffix labels internal nodes; nil for leaves.
-	suffix []string
-	// access labels leaves.
-	access []string
+	// suffix labels internal nodes, as symbol IDs (empty for ε).
+	suffix []int32
+	// access labels leaves, as a word ID.
+	access int32
 	// yes/no children by membership of access·suffix.
 	yes, no *ctNode
 	parent  *ctNode
@@ -54,6 +58,8 @@ type kvLearner struct {
 	parked  map[int32]bool
 	maxEQ   int
 	initial []string
+	// wb is the word scratch for the plain Teacher form.
+	wb []string
 
 	root  *ctNode
 	cache map[int32]bool
@@ -64,27 +70,25 @@ type kvLearner struct {
 // Options are shared with Learn; WithInitialExample seeds the first
 // counterexample-style refinement.
 func LearnKV(alphabet []string, t Teacher, opts ...Option) (*pathre.DFA, Stats, error) {
-	shim := &learner{maxEQ: 1000}
-	for _, o := range opts {
-		o(shim)
+	l, err := newLearner(alphabet, t, opts...)
+	if err != nil {
+		return nil, Stats{}, err
 	}
 	k := &kvLearner{
-		alphabet: append([]string(nil), alphabet...),
+		alphabet: l.alphabet,
 		teacher:  t,
-		words:    shim.tr,
-		maxEQ:    shim.maxEQ,
-		initial:  shim.initial,
+		ids:      l.ids,
+		batch:    l.batch,
+		bids:     l.bids,
+		spec:     l.spec,
+		words:    l.tr,
+		maxEQ:    l.maxEQ,
+		initial:  l.initial,
 		cache:    map[int32]bool{},
 	}
-	k.ids, _ = t.(IDTeacher)
-	k.batch, _ = t.(BatchTeacher)
-	k.bids, _ = t.(IDBatchTeacher)
-	k.spec, _ = t.(Speculator)
 	if k.words == nil {
 		k.words = NewWords(nil, k.alphabet)
 		defer k.words.Release()
-	} else if !k.words.hasAlphabet(k.alphabet) {
-		return nil, Stats{}, errWordsAlphabet
 	}
 	d, stats, err := k.run()
 	// Speculated values never asked before the run ended were wasted
@@ -93,23 +97,25 @@ func LearnKV(alphabet []string, t Teacher, opts ...Option) (*pathre.DFA, Stats, 
 	return d, stats, err
 }
 
-func (k *kvLearner) member(w []string) (bool, error) {
-	id := k.words.Intern(w)
+// member answers a membership query for word id, from the cache or
+// the teacher.
+func (k *kvLearner) member(id int32) (bool, error) {
 	if v, ok := k.cache[id]; ok {
 		return v, nil
 	}
-	return k.ask(w, id)
+	return k.ask(id)
 }
 
-// ask puts one membership query to the teacher — with the word's ID
-// when the teacher takes one — and commits the answer.
-func (k *kvLearner) ask(w []string, id int32) (bool, error) {
+// ask puts one membership query to the teacher — by ID when the teacher
+// takes one, else as the materialized word — and commits the answer.
+func (k *kvLearner) ask(id int32) (bool, error) {
 	var v bool
 	var err error
 	if k.ids != nil {
-		v, err = k.ids.MemberID(w, id)
+		v, err = k.ids.MemberID(id)
 	} else {
-		v, err = k.teacher.Member(w)
+		k.wb = k.words.AppendWord(k.wb[:0], id)
+		v, err = k.teacher.Member(k.wb)
 	}
 	if err != nil {
 		return false, err
@@ -133,12 +139,11 @@ func (k *kvLearner) commit(id int32, v bool) {
 	}
 }
 
-// sift walks the word down the classification tree to its leaf.
-func (k *kvLearner) sift(w []string) (*ctNode, error) {
+// sift walks word wid down the classification tree to its leaf.
+func (k *kvLearner) sift(wid int32) (*ctNode, error) {
 	cur := k.root
 	for !cur.isLeaf() {
-		probe := append(append([]string(nil), w...), cur.suffix...)
-		v, err := k.memberSift(probe, w, cur)
+		v, err := k.memberSift(k.words.walk(wid, cur.suffix), wid, cur)
 		if err != nil {
 			return nil, err
 		}
@@ -151,38 +156,36 @@ func (k *kvLearner) sift(w []string) (*ctNode, error) {
 	return cur, nil
 }
 
-// memberSift asks one sift probe. With a batch teacher the probe ships
-// as a single-query set on its own goroutine while the calling
-// goroutine speculatively precomputes the two possible successor probes
-// — word·suffix for whichever child the landed answer selects — and
-// parks values the teacher's local side can promise; parked values are
-// reconciled by commit when (if ever) the successor probe is asked.
-func (k *kvLearner) memberSift(probe, w []string, cur *ctNode) (bool, error) {
-	id := k.words.Intern(probe)
+// memberSift asks one sift probe, word id, sifting word wid at cur.
+// With a batch teacher the probe ships as a single-query set on its own
+// goroutine while the calling goroutine speculatively precomputes the
+// two possible successor probes — wid·suffix for whichever child the
+// landed answer selects — and parks values the teacher's local side can
+// promise; parked values are reconciled by commit when (if ever) the
+// successor probe is asked.
+func (k *kvLearner) memberSift(id, wid int32, cur *ctNode) (bool, error) {
 	if v, ok := k.cache[id]; ok {
 		return v, nil
 	}
 	if (k.batch == nil && k.bids == nil) || k.spec == nil {
-		return k.ask(probe, id)
+		return k.ask(id)
 	}
 	// Intern the successor probes before the batch flies: the Words
 	// never changes under an in-flight batch.
-	var next [2][]string
-	var nextID [2]int32
+	var next [2]int32
 	nn := 0
-	for _, child := range []*ctNode{cur.yes, cur.no} {
+	for _, child := range [2]*ctNode{cur.yes, cur.no} {
 		if child == nil || child.isLeaf() {
 			continue
 		}
-		nw := append(append([]string(nil), w...), child.suffix...)
-		nid := k.words.Intern(nw)
+		nid := k.words.walk(wid, child.suffix)
 		if _, ok := k.cache[nid]; ok {
 			continue
 		}
 		if _, ok := k.parked[nid]; ok {
 			continue
 		}
-		next[nn], nextID[nn] = nw, nid
+		next[nn] = nid
 		nn++
 	}
 	type batchRes struct {
@@ -190,23 +193,27 @@ func (k *kvLearner) memberSift(probe, w []string, cur *ctNode) (bool, error) {
 		err error
 	}
 	ch := make(chan batchRes, 1)
-	words, ids := [][]string{probe}, []int32{id}
+	ids := []int32{id}
+	var words [][]string
+	if k.bids == nil {
+		words = [][]string{k.words.Word(id)}
+	}
 	go func() {
 		var a []bool
 		var err error
 		if k.bids != nil {
-			a, err = k.bids.MemberBatchIDs(words, ids)
+			a, err = k.bids.MemberBatchIDs(ids)
 		} else {
 			a, err = k.batch.MemberBatch(words)
 		}
 		ch <- batchRes{a, err}
 	}()
-	for i := 0; i < nn; i++ {
-		if v, ok := k.spec.SpeculateMember(next[i], nextID[i]); ok {
+	for _, nid := range next[:nn] {
+		if v, ok := k.spec.SpeculateMember(nid); ok {
 			if k.parked == nil {
 				k.parked = map[int32]bool{}
 			}
-			k.parked[nextID[i]] = v
+			k.parked[nid] = v
 			k.stats.Speculated++
 		}
 	}
@@ -227,21 +234,22 @@ func (k *kvLearner) run() (*pathre.DFA, Stats, error) {
 	// Bootstrap with a single leaf (the empty access string): the first
 	// counterexample splits it by the empty suffix, creating the
 	// canonical accept/reject root.
-	k.root = &ctNode{access: []string{}}
+	k.root = &ctNode{access: 0}
 	if k.initial != nil {
 		// Seed the tree as if the dropped example's path were a first
 		// positive counterexample (mirrors WithInitialExample for L*):
 		// only useful when it actually distinguishes.
-		mi, err := k.member(k.initial)
+		iid := k.words.Intern(k.initial)
+		mi, err := k.member(iid)
 		if err != nil {
 			return nil, k.stats, err
 		}
-		me, err := k.member(nil)
+		me, err := k.member(0)
 		if err != nil {
 			return nil, k.stats, err
 		}
 		if mi != me {
-			if err := k.split(k.root, k.initial, nil); err != nil {
+			if err := k.split(k.root, iid, nil); err != nil {
 				return nil, k.stats, err
 			}
 		}
@@ -265,7 +273,7 @@ func (k *kvLearner) run() (*pathre.DFA, Stats, error) {
 		if ce == nil {
 			return nil, k.stats, fmt.Errorf("angluin: KV teacher rejected hypothesis without a counterexample")
 		}
-		inTarget, err := k.member(ce)
+		inTarget, err := k.member(k.words.Intern(ce))
 		if err != nil {
 			return nil, k.stats, err
 		}
@@ -306,16 +314,15 @@ func (k *kvLearner) hypothesis() (*pathre.DFA, []*ctNode, error) {
 			return nil, nil, err
 		}
 		d.Accept[i] = acc
-		for _, a := range k.alphabet {
-			ext := append(append([]string(nil), l.access...), a)
-			target, err := k.sift(ext)
+		for ai, a := range k.alphabet {
+			target, err := k.sift(k.words.step(l.access, k.words.alpha[ai]))
 			if err != nil {
 				return nil, nil, err
 			}
 			d.Trans[i][d.SymIndex(a)] = index[target]
 		}
 	}
-	start, err := k.sift(nil)
+	start, err := k.sift(0)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -336,8 +343,12 @@ func (k *kvLearner) process(ce []string, h *pathre.DFA, leaves []*ctNode) error 
 		q = h.Trans[q][h.SymIndex(a)]
 		hypLeaf[i+1] = leaves[q]
 	}
+	syms := k.words.resolve(nil, ce)
+	// prev and id are the word IDs of ce[:i-1] and ce[:i].
+	prev, id := int32(0), int32(0)
 	for i := 1; i <= len(ce); i++ {
-		sifted, err := k.sift(ce[:i])
+		prev, id = id, k.words.step(id, syms[i-1])
+		sifted, err := k.sift(id)
 		if err != nil {
 			return err
 		}
@@ -351,18 +362,18 @@ func (k *kvLearner) process(ce []string, h *pathre.DFA, leaves []*ctNode) error 
 		// distinguishing suffix directly: the suffix at the node where
 		// the two leaves' paths diverge.
 		d := k.lcaSuffix(sifted, hypLeaf[i])
-		newSuffix := append([]string{ce[i-1]}, d...)
-		return k.split(hypLeaf[i-1], ce[:i-1], newSuffix)
+		newSuffix := append([]int32{syms[i-1]}, d...)
+		return k.split(hypLeaf[i-1], prev, newSuffix)
 	}
 	// The hypothesis path agrees everywhere but classification differs:
 	// split the final leaf by ε... this only occurs with a single-leaf
 	// tree (before the first refinement).
-	return k.split(hypLeaf[len(ce)], ce, nil)
+	return k.split(hypLeaf[len(ce)], id, nil)
 }
 
 // lcaSuffix returns the distinguishing suffix at the least common
 // ancestor of two leaves.
-func (k *kvLearner) lcaSuffix(a, b *ctNode) []string {
+func (k *kvLearner) lcaSuffix(a, b *ctNode) []int32 {
 	depth := func(n *ctNode) int {
 		d := 0
 		for cur := n; cur.parent != nil; cur = cur.parent {
@@ -388,16 +399,15 @@ func (k *kvLearner) lcaSuffix(a, b *ctNode) []string {
 }
 
 // split turns leaf (with existing access string) into an internal node
-// distinguishing it from the new access string by the suffix.
-func (k *kvLearner) split(leaf *ctNode, newAccess, suffix []string) error {
+// distinguishing it from the new access string, word newAccess, by the
+// suffix.
+func (k *kvLearner) split(leaf *ctNode, newAccess int32, suffix []int32) error {
 	oldAccess := leaf.access
 	internal := leaf
-	internal.suffix = append([]string(nil), suffix...)
-	internal.access = nil
+	internal.suffix = append([]int32(nil), suffix...)
 	oldLeaf := &ctNode{access: oldAccess, parent: internal}
-	newLeaf := &ctNode{access: append([]string(nil), newAccess...), parent: internal}
-	probeOld := append(append([]string(nil), oldAccess...), suffix...)
-	v, err := k.member(probeOld)
+	newLeaf := &ctNode{access: newAccess, parent: internal}
+	v, err := k.member(k.words.walk(oldAccess, suffix))
 	if err != nil {
 		return err
 	}

@@ -3,7 +3,8 @@ package angluin
 import "sync"
 
 // The learner scratch pool. One learning session's table-sized arrays —
-// the row indirection, the membership table, the batch-wave buffers —
+// the row indirection, the membership table, the batch-wave buffers
+// (word IDs for every teacher, words only for a plain BatchTeacher) —
 // are handed back when Learn returns and adopted, contents reset but
 // capacities intact, by the next session in the process. The engine
 // runs one learner per fragment per restart, so without the pool every
@@ -18,11 +19,13 @@ type scratch struct {
 	ans      []uint8
 	waveMark []uint32
 	s        []int32
+	wvWids   []int32
+	pfRows   []int32
+	pfCells  []int32
 	wb       []string
 	wvSyms   []string
 	wvOff    []int32
 	wvWords  [][]string
-	wvWids   []int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -37,11 +40,13 @@ func (l *learner) adopt(sc *scratch) {
 	l.ans = sc.ans[:0]
 	l.waveMark = sc.waveMark[:0]
 	l.s = sc.s[:0]
+	l.wvWids = sc.wvWids[:0]
+	l.pfRows = sc.pfRows[:0]
+	l.pfCells = sc.pfCells[:0]
 	l.wb = sc.wb[:0]
 	l.wvSyms = sc.wvSyms[:0]
 	l.wvOff = sc.wvOff[:0]
 	l.wvWords = sc.wvWords[:0]
-	l.wvWids = sc.wvWids[:0]
 }
 
 // release hands the learner's buffers back to the scratch. The
@@ -56,6 +61,9 @@ func (l *learner) release(sc *scratch) {
 	sc.ans = l.ans
 	sc.waveMark = l.waveMark
 	sc.s = l.s
+	sc.wvWids = l.wvWids
+	sc.pfRows = l.pfRows
+	sc.pfCells = l.pfCells
 	clear(l.wb[:l.wbHigh])
 	sc.wb = l.wb[:0]
 	clear(l.wvSyms[:l.wvHigh])
@@ -63,5 +71,4 @@ func (l *learner) release(sc *scratch) {
 	sc.wvOff = l.wvOff
 	clear(l.wvWords[:l.wvWordsHigh])
 	sc.wvWords = l.wvWords[:0]
-	sc.wvWids = l.wvWids
 }

@@ -9,15 +9,20 @@ import "sync"
 // the ε root, and the node's int32 ID is the word's one identity from
 // the observation table through the teacher seam: the learner's
 // membership table is an array indexed by ID, and IDTeacher /
-// IDBatchTeacher / Speculator receive the ID with every word, so a
-// teacher keeping its own answer state indexes it the same way. No
-// per-word key string is ever built.
+// IDBatchTeacher / Speculator receive only the ID, so a teacher keeping
+// its own answer state indexes it the same way and reads the word back
+// (Depth, LastSym, AppendWord) only when it needs it. No per-word key
+// string is ever built.
 //
 // IDs are dense, append-only and never reassigned, so they stay valid
 // for the life of the Words: a caller that learns one target over
 // several Learn calls — a restart after a corrected answer — passes the
 // same Words (WithWords) and keeps its ID-indexed state across them.
-// A Words is not safe for concurrent use.
+// A Words is not safe for concurrent use while it grows; its read
+// methods (Len, Depth, LastSym, AppendWord, Word) may run on several
+// goroutines at once as long as nothing interns. The learner never
+// grows the Words while a membership batch is in flight, which is what
+// lets a Speculator read it next to the batch goroutine.
 //
 // Child lookup is tiered by how branchy a node actually is:
 //
@@ -194,10 +199,25 @@ func (w *Words) note(id int32, s string) {
 // Intern returns the ID of word, adding the nodes it lacks. Symbols
 // outside the alphabet are interned in the table as needed.
 func (w *Words) Intern(word []string) int32 {
-	w.ids = w.tab.AppendIDs(w.ids[:0], word)
-	id := int32(0)
-	for i, sym := range w.ids {
+	w.ids = w.resolve(w.ids[:0], word)
+	return w.walk(0, w.ids)
+}
+
+// resolve appends the symbol IDs of word to dst, noting each symbol for
+// word building.
+func (w *Words) resolve(dst []int32, word []string) []int32 {
+	base := len(dst)
+	dst = w.tab.AppendIDs(dst, word)
+	for i, sym := range dst[base:] {
 		w.note(sym, word[i])
+	}
+	return dst
+}
+
+// walk returns the node of word id extended by the resolved symbols,
+// adding the nodes it lacks.
+func (w *Words) walk(id int32, syms []int32) int32 {
+	for _, sym := range syms {
 		id = w.step(id, sym)
 	}
 	return id
@@ -231,8 +251,16 @@ func (w *Words) Word(id int32) []string {
 	if d == 0 {
 		return nil
 	}
-	return w.appendWord(make([]string, 0, d), id)
+	return w.AppendWord(make([]string, 0, d), id)
 }
+
+// Depth reports the length of node id's word.
+func (w *Words) Depth(id int32) int { return int(w.node(id).depth) }
+
+// LastSym returns the symbol-table ID of the last symbol of node id's
+// word, -1 for ε. Words over one SymbolTable agree on symbol IDs, so a
+// teacher compares a word's last label against a symbol by ID alone.
+func (w *Words) LastSym(id int32) int32 { return w.node(id).sym }
 
 // rowChild returns the child of p at alphabet position ai through p's
 // dense child row: -1 when p is unpromoted or has no such child yet.
@@ -325,8 +353,9 @@ func (w *Words) add(p, sym int32) int32 {
 	return id
 }
 
-// appendWord appends node id's word to dst, back to front.
-func (w *Words) appendWord(dst []string, id int32) []string {
+// AppendWord appends node id's word to dst and returns the extended
+// slice. It allocates only when dst lacks the capacity.
+func (w *Words) AppendWord(dst []string, id int32) []string {
 	n := int(w.node(id).depth)
 	base := len(dst)
 	if cap(dst) < base+n {

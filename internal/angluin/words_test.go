@@ -107,120 +107,194 @@ func TestTrieSharedSymbolTable(t *testing.T) {
 	}
 }
 
-// idRecorder is an ID (optionally batch) teacher that records the ID
-// delivered with every word, for checking the learner's IDs against the
-// contract: each ID resolves, in the Words the learner ran over, to
-// exactly the word delivered with it.
-type idRecorder struct {
+// seamLog records, in order, every membership query a teacher double
+// receives, as joined words; a batch round trip is bracketed by "[" and
+// "]" so serial and batched logs never compare equal by accident.
+type seamLog []string
+
+func (g *seamLog) add(w []string) { *g = append(*g, strings.Join(w, "\x00")) }
+
+// wordRecorder is a plain-word teacher that logs each word it is
+// asked; wordBatchRecorder adds the word batch seam.
+type wordRecorder struct {
 	perfectTeacher
-	t     *testing.T
-	words *Words
-	batch bool
-	got   map[string]int32 // joined word -> ID as delivered
+	log seamLog
 }
 
-func (r *idRecorder) record(w []string, id int32) {
-	r.t.Helper()
-	joined := strings.Join(w, "\x00")
-	if got := strings.Join(r.words.Word(id), "\x00"); got != joined {
-		r.t.Errorf("ID %d delivered with %q resolves to %q", id, joined, got)
-	}
-	if prev, ok := r.got[joined]; ok && prev != id {
-		r.t.Errorf("word %q delivered with IDs %d and %d", joined, prev, id)
-	}
-	r.got[joined] = id
+func (r *wordRecorder) Member(w []string) (bool, error) {
+	r.log.add(w)
+	return r.perfectTeacher.Member(w)
 }
 
-func (r *idRecorder) MemberID(w []string, id int32) (bool, error) {
-	r.record(w, id)
-	return r.Member(w)
-}
+type wordBatchRecorder struct{ *wordRecorder }
 
-func (r *idRecorder) MemberBatch(words [][]string) ([]bool, error) {
-	return nil, errors.New("idRecorder: the learner must prefer MemberBatchIDs")
-}
-
-func (r *idRecorder) MemberBatchIDs(words [][]string, ids []int32) ([]bool, error) {
+func (r wordBatchRecorder) MemberBatch(words [][]string) ([]bool, error) {
+	r.log = append(r.log, "[")
 	out := make([]bool, len(words))
 	for i, w := range words {
-		r.record(w, ids[i])
-		v, err := r.Member(w)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
+		out[i], _ = r.Member(w)
 	}
+	r.log = append(r.log, "]")
 	return out, nil
 }
 
-// serialIDRecorder hides the batch seam: its learner asks cell by cell
-// through MemberID.
-type serialIDRecorder struct{ *idRecorder }
+// idRecorder is an ID teacher: it receives word IDs only and logs the
+// word each one resolves to in the Words it shares with the learner,
+// checking that one word always comes with one ID and distinct words
+// with distinct IDs.
+type idRecorder struct {
+	perfectTeacher
+	t      *testing.T
+	words  *Words
+	log    seamLog
+	idOf   map[string]int32 // joined word -> ID as delivered
+	wordOf map[int32]string
+}
 
-func (r serialIDRecorder) Member(w []string) (bool, error) { return r.idRecorder.Member(w) }
-func (r serialIDRecorder) MemberID(w []string, id int32) (bool, error) {
-	return r.idRecorder.MemberID(w, id)
+func (r *idRecorder) record(id int32) []string {
+	r.t.Helper()
+	w := r.words.Word(id)
+	joined := strings.Join(w, "\x00")
+	if prev, ok := r.idOf[joined]; ok && prev != id {
+		r.t.Errorf("word %q delivered as IDs %d and %d", joined, prev, id)
+	}
+	if prev, ok := r.wordOf[id]; ok && prev != joined {
+		r.t.Errorf("ID %d delivered for both %q and %q", id, prev, joined)
+	}
+	r.idOf[joined], r.wordOf[id] = id, joined
+	r.log.add(w)
+	return w
 }
-func (r serialIDRecorder) Equivalent(h *pathre.DFA) ([]string, bool, error) {
-	return r.idRecorder.Equivalent(h)
+
+func (r *idRecorder) MemberID(id int32) (bool, error) {
+	return r.perfectTeacher.Member(r.record(id))
 }
+
+func (r *idRecorder) Member([]string) (bool, error) {
+	return false, errors.New("idRecorder: the learner must prefer MemberID")
+}
+
+type idBatchRecorder struct{ *idRecorder }
+
+func (r idBatchRecorder) MemberBatchIDs(ids []int32) ([]bool, error) {
+	r.log = append(r.log, "[")
+	out := make([]bool, len(ids))
+	for i, id := range ids {
+		out[i], _ = r.MemberID(id)
+	}
+	r.log = append(r.log, "]")
+	return out, nil
+}
+
+func (r idBatchRecorder) MemberBatch([][]string) ([]bool, error) {
+	return nil, errors.New("idBatchRecorder: the learner must prefer MemberBatchIDs")
+}
+
+// declineWords and declineIDs add a Speculator that never promises an
+// answer, so LearnKV ships its sift probes through the batch seam
+// without changing the dialogue.
+type declineWords struct{ wordBatchRecorder }
+
+func (declineWords) SpeculateMember(int32) (bool, bool) { return false, false }
+
+type declineIDs struct{ idBatchRecorder }
+
+func (declineIDs) SpeculateMember(int32) (bool, bool) { return false, false }
 
 // TestIDBatchIDsRoundTrip is the word-ID contract of the teacher seam.
-// It learns one target serially (MemberID) and through the batch seam
-// (MemberBatchIDs), each time twice over one Words, for both child
-// regimes of the trie, and checks that
-//   - every ID delivered on either path resolves back to exactly the
-//     word delivered with it, and distinct words get distinct IDs;
-//   - a word gets the same ID in both Learn calls on one Words;
+// It learns one target through the plain word seam and through the ID
+// seam, serially and batched, with L* and with KV, for both child
+// regimes of the trie; the ID teacher learns twice over one Words. It
+// checks that
+//   - every ID delivered resolves, through Words.Word, to exactly the
+//     word the plain-Teacher path receives at the same point of the
+//     dialogue (the logs are equal, batch brackets included);
+//   - a teacher offering both forms is asked through the ID forms only
+//     (the ID doubles fail their word methods);
+//   - one word always comes with one ID and distinct words with
+//     distinct IDs, and the second Learn on one Words asks the same
+//     words under the same IDs;
 //   - the serial and batched dialogues are identical.
 func TestIDBatchIDsRoundTrip(t *testing.T) {
-	for _, alpha := range [][]string{alphabet, wideAlphabet()} {
-		target := pathre.Compile(pathre.MustParsePath("/site/regions//item"), alpha)
-		var dialogues [2]Stats
-		var learned [2]*pathre.DFA
-		for pi, batch := range []bool{false, true} {
-			words := NewWords(NewSymbolTable(), alpha)
-			rec := &idRecorder{perfectTeacher: perfectTeacher{target}, t: t, words: words, batch: batch,
-				got: map[string]int32{}}
-			var teach Teacher = serialIDRecorder{rec}
-			if batch {
-				teach = rec
-			}
-			for run := 0; run < 2; run++ {
-				before := len(rec.got)
-				d, st, err := Learn(alpha, teach, WithWords(words))
-				if err != nil {
-					t.Fatalf("alphabet %d, batch=%v, run %d: %v", len(alpha), batch, run, err)
-				}
-				if run == 1 && len(rec.got) != before {
-					t.Errorf("alphabet %d, batch=%v: second Learn asked %d new words, want the same words",
-						len(alpha), batch, len(rec.got)-before)
-				}
-				if batch && st.BatchRounds == 0 {
-					t.Fatalf("alphabet %d: batch seam unused", len(alpha))
-				}
-				dialogues[pi], learned[pi] = st, d
-			}
-			if len(rec.got) == 0 {
-				t.Fatalf("alphabet %d, batch=%v: no queries recorded", len(alpha), batch)
-			}
-			seen := map[int32]string{}
-			for joined, id := range rec.got {
-				if other, dup := seen[id]; dup {
-					t.Errorf("ID %d delivered for both %q and %q", id, joined, other)
-				}
-				seen[id] = joined
-			}
-			words.Release()
+	learners := []struct {
+		name  string
+		learn func([]string, Teacher, ...Option) (*pathre.DFA, Stats, error)
+	}{{"lstar", Learn}, {"kv", LearnKV}}
+	for _, lr := range learners {
+		for _, alpha := range [][]string{alphabet, wideAlphabet()} {
+			roundTrip(t, lr.name, lr.learn, alpha)
 		}
-		if w, diff := learned[0].Distinguish(learned[1]); diff {
-			t.Fatalf("alphabet %d: serial and batched learned different languages, witness %v", len(alpha), w)
+	}
+}
+
+func roundTrip(t *testing.T, name string, learn func([]string, Teacher, ...Option) (*pathre.DFA, Stats, error), alpha []string) {
+	t.Helper()
+	target := pathre.Compile(pathre.MustParsePath("/site/regions//item"), alpha)
+	var dialogues [2]Stats
+	var learned [2]*pathre.DFA
+	for pi, batch := range []bool{false, true} {
+		at := fmt.Sprintf("%s, alphabet %d, batch=%v", name, len(alpha), batch)
+		plain := &wordRecorder{perfectTeacher: perfectTeacher{target}}
+		plainWords := NewWords(nil, alpha)
+		var plainT Teacher = plain
+		switch {
+		case batch && name == "kv":
+			plainT = declineWords{wordBatchRecorder{plain}}
+		case batch:
+			plainT = wordBatchRecorder{plain}
 		}
-		a, b := dialogues[0], dialogues[1]
-		if a.MembershipQueries != b.MembershipQueries || a.EquivalenceQueries != b.EquivalenceQueries ||
-			a.Counterexamples != b.Counterexamples {
-			t.Fatalf("alphabet %d: dialogue diverged\nserial  %+v\nbatched %+v", len(alpha), a, b)
+		plainD, plainSt, err := learn(alpha, plainT, WithWords(plainWords))
+		plainWords.Release()
+		if err != nil {
+			t.Fatalf("%s, plain: %v", at, err)
 		}
+
+		words := NewWords(NewSymbolTable(), alpha)
+		rec := &idRecorder{perfectTeacher: perfectTeacher{target}, t: t, words: words,
+			idOf: map[string]int32{}, wordOf: map[int32]string{}}
+		var teach Teacher = rec
+		switch {
+		case batch && name == "kv":
+			teach = declineIDs{idBatchRecorder{rec}}
+		case batch:
+			teach = idBatchRecorder{rec}
+		}
+		for run := 0; run < 2; run++ {
+			before := len(rec.idOf)
+			rec.log = rec.log[:0]
+			d, st, err := learn(alpha, teach, WithWords(words))
+			if err != nil {
+				t.Fatalf("%s, run %d: %v", at, run, err)
+			}
+			if run == 1 && len(rec.idOf) != before {
+				t.Errorf("%s: second Learn asked %d new words, want the same words", at, len(rec.idOf)-before)
+			}
+			if batch && st.BatchRounds == 0 {
+				t.Fatalf("%s: batch seam unused", at)
+			}
+			if got, want := strings.Join(rec.log, "|"), strings.Join(plain.log, "|"); got != want {
+				t.Fatalf("%s, run %d: ID seam delivered\n%q\nplain seam\n%q", at, run, got, want)
+			}
+			if st != plainSt {
+				t.Fatalf("%s: stats %+v, plain seam %+v", at, st, plainSt)
+			}
+			if w, diff := d.Distinguish(plainD); diff {
+				t.Fatalf("%s: seams learned different languages, witness %v", at, w)
+			}
+			dialogues[pi], learned[pi] = st, d
+		}
+		if len(rec.idOf) == 0 {
+			t.Fatalf("%s: no queries recorded", at)
+		}
+		words.Release()
+	}
+	if w, diff := learned[0].Distinguish(learned[1]); diff {
+		t.Fatalf("%s, alphabet %d: serial and batched learned different languages, witness %v", name, len(alpha), w)
+	}
+	a, b := dialogues[0], dialogues[1]
+	if a.MembershipQueries != b.MembershipQueries || a.EquivalenceQueries != b.EquivalenceQueries ||
+		a.Counterexamples != b.Counterexamples {
+		t.Fatalf("%s, alphabet %d: dialogue diverged\nserial  %+v\nbatched %+v", name, len(alpha), a, b)
 	}
 }
 
@@ -245,6 +319,24 @@ func TestWordsAlphabetMismatch(t *testing.T) {
 	}
 	if _, _, err := LearnKV(alphabet, &perfectTeacher{target}, WithWords(words)); !errors.Is(err, errWordsAlphabet) {
 		t.Fatalf("LearnKV err = %v, want %v", err, errWordsAlphabet)
+	}
+}
+
+// TestIDTeacherNeedsWords: the ID forms of the seam mean nothing
+// without the Words the IDs index, so both learners refuse an ID
+// teacher or a Speculator that did not pass one.
+func TestIDTeacherNeedsWords(t *testing.T) {
+	target := pathre.Compile(pathre.MustParsePath("/site"), alphabet)
+	for name, teach := range map[string]Teacher{
+		"IDTeacher":  &idRecorder{perfectTeacher: perfectTeacher{target}, t: t},
+		"Speculator": &speculatingTeacher{batchTeacher: batchTeacher{perfectTeacher: perfectTeacher{target}}},
+	} {
+		if _, _, err := Learn(alphabet, teach); !errors.Is(err, errIDsNeedWords) {
+			t.Errorf("Learn with a bare %s: err = %v, want %v", name, err, errIDsNeedWords)
+		}
+		if _, _, err := LearnKV(alphabet, teach); !errors.Is(err, errIDsNeedWords) {
+			t.Errorf("LearnKV with a bare %s: err = %v, want %v", name, err, errIDsNeedWords)
+		}
 	}
 }
 

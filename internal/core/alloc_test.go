@@ -55,7 +55,7 @@ func TestReducedWaveAllocs(t *testing.T) {
 				p.ans[id] = pans{} // forget the answers so the rules run again
 			}
 		}
-		ans, err := ta.MemberBatchIDs(words, ids)
+		ans, err := ta.MemberBatchIDs(ids)
 		if err != nil {
 			t.Fatal(err)
 		}

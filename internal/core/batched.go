@@ -312,22 +312,25 @@ func (p *pLearner) conditionBox(ce *xmldoc.Node) ([]BoxEntry, error) {
 
 // speculateMember implements the angluin.Speculator contract for the
 // fragment: answer a membership query from state that is immutable
-// while a batch is in flight — the options, the word-to-path map, the
-// R1 filter, and the fragment mirror — or admit it cannot. The committed
+// while a batch is in flight — the options, the Words, the word-to-path
+// map, the R1 filter, and the fragment mirror — or admit it cannot. The committed
 // dialogue never depends on a speculated value (the learner reconciles
 // it against the landed answer), so the only cost of a wrong promise
 // here is a discarded precompute. The answer cache, the positives list,
 // and the evaluator all advance with the dialogue on the batch
 // goroutine and must not be read here.
-func (p *pLearner) speculateMember(w []string, id int32) (bool, bool) {
+func (p *pLearner) speculateMember(id int32) (bool, bool) {
 	nodes := p.nodesAt(id)
-	if p.eng.Opts.R1 && p.r1Applicable(w, nodes) {
+	// The Words does not grow while a batch is in flight, so reading
+	// words from it here is safe; a metadata filter's word goes into
+	// specBuf, never the batch goroutine's wordBuf.
+	if p.eng.Opts.R1 && p.r1Applicable(id, nodes, &p.specBuf) {
 		return false, true
 	}
 	// The R2 state machine only moves on counterexamples, which cannot
 	// land while a membership batch is in flight, so reading it here is
 	// alternation-safe.
-	if p.r2 == r2Active && len(w) > 0 && w[len(w)-1] != p.lastTag {
+	if p.r2Applicable(id) {
 		return false, true
 	}
 	if len(nodes) == 0 {
@@ -366,16 +369,16 @@ func (p *pLearner) speculateMember(w []string, id int32) (bool, bool) {
 // reconciliation; otherwise it replays serially — in every case in
 // index order, so the committed dialogue equals the serial one. The
 // session context is checked once per set (per round on the wire).
-func (p *pLearner) memberBatchIDs(words [][]string, ids []int32) ([]bool, error) {
+func (p *pLearner) memberBatchIDs(ids []int32) ([]bool, error) {
 	if p.mirror == nil && p.eng.batch != nil {
-		return p.memberBatchWire(words, ids)
+		return p.memberBatchWire(ids)
 	}
 	if err := ctxErr(p.ctx); err != nil {
 		return nil, err
 	}
-	out := make([]bool, len(words))
-	for i := range words {
-		v, err := p.member(words[i], ids[i])
+	out := make([]bool, len(ids))
+	for i, id := range ids {
+		v, err := p.member(id)
 		if err != nil {
 			return nil, err
 		}
@@ -397,20 +400,20 @@ func (p *pLearner) memberBatchIDs(words [][]string, ids []int32) ([]bool, error)
 // first pending query's representative is always still valid, so every
 // round commits at least one answer and the committed (query,
 // representative, answer) sequence is exactly the serial protocol's.
-func (p *pLearner) memberBatchWire(words [][]string, ids []int32) ([]bool, error) {
-	out := make([]bool, len(words))
-	done := make([]bool, len(words))
+func (p *pLearner) memberBatchWire(ids []int32) ([]bool, error) {
+	out := make([]bool, len(ids))
+	done := make([]bool, len(ids))
 	for {
 		if err := ctxErr(p.ctx); err != nil {
 			return nil, err
 		}
 		var idxs []int
 		var reps []*xmldoc.Node
-		for i := range words {
+		for i, id := range ids {
 			if done[i] {
 				continue
 			}
-			ans, final, rep := p.memberLocal(words[i], ids[i])
+			ans, final, rep := p.memberLocal(id)
 			if final {
 				out[i], done[i] = ans, true
 				continue
@@ -423,7 +426,8 @@ func (p *pLearner) memberBatchWire(words [][]string, ids []int32) ([]bool, error
 		}
 		queries := make([]string, len(idxs))
 		for j, i := range idxs {
-			queries[j] = "/" + strings.Join(words[i], "/")
+			p.wordBuf = p.words.AppendWord(p.wordBuf[:0], ids[i])
+			queries[j] = "/" + strings.Join(p.wordBuf, "/")
 		}
 		emit := p.eng.observePair(Event{Fragment: p.frag.Var, Queries: queries})
 		ans, err := p.eng.batch.MemberBatch(p.ctx, p.frag, p.pinCtx, reps)
@@ -438,7 +442,7 @@ func (p *pLearner) memberBatchWire(words [][]string, ids []int32) ([]bool, error
 		}
 		progress := false
 		for j, i := range idxs {
-			ansI, final, rep := p.memberLocal(words[i], ids[i])
+			ansI, final, rep := p.memberLocal(ids[i])
 			if final {
 				// An earlier commit in this loop resolved the query locally
 				// (e.g. an R2 default after a cache correction); the wire

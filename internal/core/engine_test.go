@@ -49,6 +49,27 @@ const sourceXML = `<site>
   </closed_auctions>
 </site>`
 
+// sourceDTD is a schema for sourceXML, backing rule R1 with metadata.
+const sourceDTD = `
+<!ELEMENT site (regions, categories, closed_auctions)>
+<!ELEMENT regions (africa, europe, asia)>
+<!ELEMENT africa (item*)> <!ELEMENT europe (item*)> <!ELEMENT asia (item*)>
+<!ELEMENT item (name, incategory, description)>
+<!ATTLIST item id ID #REQUIRED>
+<!ELEMENT name (#PCDATA)>
+<!ELEMENT incategory EMPTY>
+<!ATTLIST incategory category IDREF #REQUIRED>
+<!ELEMENT description (#PCDATA)>
+<!ELEMENT categories (category*)>
+<!ELEMENT category (name)>
+<!ATTLIST category id ID #REQUIRED>
+<!ELEMENT closed_auctions (closed_auction*)>
+<!ELEMENT closed_auction (price, itemref)>
+<!ELEMENT price (#PCDATA)>
+<!ELEMENT itemref EMPTY>
+<!ATTLIST itemref item IDREF #REQUIRED>
+`
+
 const targetDTD = `
 <!ELEMENT i_list (category*)>
 <!ELEMENT category (cname, item*)>
@@ -274,25 +295,7 @@ func TestLearnR1Only(t *testing.T) {
 
 func TestLearnWithDTDFilter(t *testing.T) {
 	opts := core.DefaultOptions()
-	opts.SourceDTD = dtd.MustParse(`
-<!ELEMENT site (regions, categories, closed_auctions)>
-<!ELEMENT regions (africa, europe, asia)>
-<!ELEMENT africa (item*)> <!ELEMENT europe (item*)> <!ELEMENT asia (item*)>
-<!ELEMENT item (name, incategory, description)>
-<!ATTLIST item id ID #REQUIRED>
-<!ELEMENT name (#PCDATA)>
-<!ELEMENT incategory EMPTY>
-<!ATTLIST incategory category IDREF #REQUIRED>
-<!ELEMENT description (#PCDATA)>
-<!ELEMENT categories (category*)>
-<!ELEMENT category (name)>
-<!ATTLIST category id ID #REQUIRED>
-<!ELEMENT closed_auctions (closed_auction*)>
-<!ELEMENT closed_auction (price, itemref)>
-<!ELEMENT price (#PCDATA)>
-<!ELEMENT itemref EMPTY>
-<!ATTLIST itemref item IDREF #REQUIRED>
-`)
+	opts.SourceDTD = dtd.MustParse(sourceDTD)
 	tree, stats, _, doc := runningExample(t, opts, teacher.BestCase)
 	if _, _, eq := resultEqual(doc, tree, truthQ1()); !eq {
 		t.Fatal("DTD-filtered R1 must converge")

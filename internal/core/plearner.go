@@ -93,8 +93,18 @@ type pLearner struct {
 	path  []int32
 	sc    *fragScratch
 
-	r2        r2mode
-	lastTag   string
+	r2 r2mode
+	// lastSym is the ID of the dropped example's last label in the
+	// engine's symbol table, so rule R2 compares a word's last label by
+	// ID (Words.LastSym) without building the word.
+	lastSym int32
+	// wordBuf and specBuf are word scratch for the rule-R1 metadata
+	// filters, which take a label path: wordBuf serves the dialogue
+	// (memberLocal, the wire path), specBuf the Speculator. The two
+	// run on different goroutines while a batch is in flight, so they
+	// never share a buffer.
+	wordBuf, specBuf []string
+
 	clearner  *cLearner
 	explicit  []*xq.Pred
 	positives []*xmldoc.Node
@@ -132,8 +142,6 @@ func newPLearner(ctx context.Context, eng *Engine, frag FragmentRef, pinCtx, con
 		example: example, stripLevels: strip, stats: stats,
 		clearner: newCLearner(eng.graph, condCtx, frag.AnchorVar),
 	}
-	ep := example.Path()
-	p.lastTag = ep[len(ep)-1]
 	if !eng.Opts.R2 {
 		p.r2 = r2Off
 	}
@@ -165,7 +173,9 @@ func (p *pLearner) bind() {
 	}
 	p.path = path
 	p.ans = p.sc.ans[:0]
-	p.setAns(p.words.Intern(p.example.Path()), pans{ans: true, prov: provDrop})
+	ex := p.words.Intern(p.example.Path())
+	p.lastSym = p.words.LastSym(ex)
+	p.setAns(ex, pans{ans: true, prov: provDrop})
 }
 
 // unbind returns the word state to the pools.
@@ -174,6 +184,7 @@ func (p *pLearner) unbind() {
 	fragPool.Put(p.sc)
 	p.words.Release()
 	p.sc, p.words, p.ans, p.path = nil, nil, nil, nil
+	p.wordBuf, p.specBuf = nil, nil
 }
 
 // answer returns the dialogue's answer for word id, if it has one.
@@ -249,22 +260,22 @@ func (p *pLearner) condsHold(n *xmldoc.Node) bool {
 	return true
 }
 
-// memberID implements the L* membership oracle for one query, word w
+// memberID implements the L* membership oracle for one query, the word
 // with ID id in p.words: the session context is checked, then the
 // answer comes from the rule pipeline (see member).
-func (p *pLearner) memberID(w []string, id int32) (bool, error) {
+func (p *pLearner) memberID(id int32) (bool, error) {
 	if err := ctxErr(p.ctx); err != nil {
 		return false, err
 	}
-	return p.member(w, id)
+	return p.member(id)
 }
 
 // member runs the rule pipeline — cache → R1 → R2 → ask the user about
 // a representative node — without checking the context; callers check
 // it once per query set, so a cancellation aborts the learner at the
 // next query-set boundary.
-func (p *pLearner) member(w []string, id int32) (bool, error) {
-	ans, final, rep := p.memberLocal(w, id)
+func (p *pLearner) member(id int32) (bool, error) {
+	ans, final, rep := p.memberLocal(id)
 	if final {
 		return ans, nil
 	}
@@ -276,20 +287,22 @@ func (p *pLearner) member(w []string, id int32) (bool, error) {
 	return ans, nil
 }
 
-// memberLocal runs the local stages of the membership pipeline: the
-// cache, rules R1/R2, and the no-node dismissal — all of which commit
-// immediately (final=true). Otherwise it selects the representative
-// node the teacher must be asked about under the current dialogue state
-// and returns it uncommitted, so batch transports can ask many
-// representatives per round trip and commit each answer with
-// commitAsked once its representative is revalidated.
-func (p *pLearner) memberLocal(w []string, id int32) (ans, final bool, rep *xmldoc.Node) {
+// memberLocal runs the local stages of the membership pipeline for word
+// id: the cache, rules R1/R2, and the no-node dismissal — all of which
+// commit immediately (final=true). Otherwise it selects the
+// representative node the teacher must be asked about under the
+// current dialogue state and returns it uncommitted, so batch
+// transports can ask many representatives per round trip and commit
+// each answer with commitAsked once its representative is revalidated.
+// The rules decide from the word's trie node; only a metadata R1
+// filter needs the word itself.
+func (p *pLearner) memberLocal(id int32) (ans, final bool, rep *xmldoc.Node) {
 	if a, ok := p.answer(id); ok {
 		return a.ans, true, nil
 	}
 	nodes := p.nodesAt(id)
-	r1 := p.eng.Opts.R1 && p.r1Applicable(w, nodes)
-	r2 := p.r2 == r2Active && len(w) > 0 && w[len(w)-1] != p.lastTag
+	r1 := p.eng.Opts.R1 && p.r1Applicable(id, nodes, &p.wordBuf)
+	r2 := p.r2Applicable(id)
 	if r1 || r2 {
 		if r1 {
 			p.stats.ReducedR1++
@@ -337,18 +350,31 @@ func (p *pLearner) commitAsked(id int32, rep *xmldoc.Node, ans bool) {
 	}
 }
 
-func (p *pLearner) r1Applicable(w []string, nodes []*xmldoc.Node) bool {
-	if len(w) == 0 {
-		// The empty path is the document node, never an extent member.
+// r1Applicable reports whether rule R1 answers word id No: the empty
+// word (the document node is never an extent member), a word the
+// metadata filter rejects, or, without a filter, a word no instance
+// node realizes (nodes are the word's instance nodes). A filter takes
+// the label path, which is built into *buf; the caller passes the
+// buffer of its own goroutine.
+func (p *pLearner) r1Applicable(id int32, nodes []*xmldoc.Node, buf *[]string) bool {
+	if p.words.Depth(id) == 0 {
 		return true
 	}
 	if f := p.eng.Opts.R1Filter; f != nil {
-		return !f.AcceptsPath(w)
+		*buf = p.words.AppendWord((*buf)[:0], id)
+		return !f.AcceptsPath(*buf)
 	}
-	if p.eng.Opts.SourceDTD != nil {
-		return !p.eng.Opts.SourceDTD.AcceptsPath(w)
+	if d := p.eng.Opts.SourceDTD; d != nil {
+		*buf = p.words.AppendWord((*buf)[:0], id)
+		return !d.AcceptsPath(*buf)
 	}
 	return len(nodes) == 0
+}
+
+// r2Applicable reports whether rule R2 answers word id No: the rule is
+// active and the word's last label is not the dropped example's.
+func (p *pLearner) r2Applicable(id int32) bool {
+	return p.r2 == r2Active && p.words.Depth(id) > 0 && p.words.LastSym(id) != p.lastSym
 }
 
 // positiveSharesPath reports whether a known positive example has the
@@ -483,16 +509,16 @@ func (p *pLearner) processPositive(h *pathre.DFA, ce *xmldoc.Node) ([]string, er
 	}
 	p.addPositive(ce)
 	w := ce.Path()
-	if p.r2 == r2Active && len(w) > 0 && w[len(w)-1] != p.lastTag {
+	id := p.words.Intern(w)
+	if p.r2Applicable(id) {
 		// Section 8, rule R2: a positive counterexample whose last tag
 		// differs from the dropped example's refutes the last-tag
 		// assumption — discard the heuristic answers and relax.
-		return nil, p.backtrackR2(w, ce)
+		return nil, p.backtrackR2(id, w)
 	}
 	if h.Accepts(w) {
 		return nil, nil // condition-side counterexample only
 	}
-	id := p.words.Intern(w)
 	if a, ok := p.answer(id); ok && !a.ans {
 		// The table holds a wrong No for this path: correct and restart.
 		p.setAns(id, pans{ans: true, prov: provCorrected})
@@ -504,13 +530,13 @@ func (p *pLearner) processPositive(h *pathre.DFA, ce *xmldoc.Node) ([]string, er
 
 // backtrackR2 implements R2's backtracking: discard every heuristic
 // answer and relax the last-tag assumption, then restart L*.
-func (p *pLearner) backtrackR2(w []string, ce *xmldoc.Node) error {
+func (p *pLearner) backtrackR2(id int32, w []string) error {
 	for i := range p.ans {
 		if p.ans[i].prov == provR2 {
 			p.ans[i] = pans{}
 		}
 	}
-	p.setAns(p.words.Intern(w), pans{ans: true, prov: provCorrected})
+	p.setAns(id, pans{ans: true, prov: provCorrected})
 	p.r2 = r2AnyTag
 	return restartErr{reason: "R2 backtrack: positive counterexample ends with " + w[len(w)-1]}
 }
@@ -654,20 +680,20 @@ func (p *pLearner) run() (*pathre.DFA, error) {
 type teacherAdapter struct{ p *pLearner }
 
 func (t teacherAdapter) Member(w []string) (bool, error) {
-	return t.p.memberID(w, t.p.words.Intern(w))
+	return t.p.memberID(t.p.words.Intern(w))
 }
-func (t teacherAdapter) MemberID(w []string, id int32) (bool, error) { return t.p.memberID(w, id) }
+func (t teacherAdapter) MemberID(id int32) (bool, error) { return t.p.memberID(id) }
 func (t teacherAdapter) Equivalent(h *pathre.DFA) ([]string, bool, error) {
 	return t.p.Equivalent(h)
 }
-func (t teacherAdapter) MemberBatchIDs(words [][]string, ids []int32) ([]bool, error) {
-	return t.p.memberBatchIDs(words, ids)
+func (t teacherAdapter) MemberBatchIDs(ids []int32) ([]bool, error) {
+	return t.p.memberBatchIDs(ids)
 }
 
 // specAdapter adds the Speculator (precompute from immutable local
 // knowledge while a batch flies) under the batched protocol.
 type specAdapter struct{ teacherAdapter }
 
-func (t specAdapter) SpeculateMember(w []string, id int32) (bool, bool) {
-	return t.p.speculateMember(w, id)
+func (t specAdapter) SpeculateMember(id int32) (bool, bool) {
+	return t.p.speculateMember(id)
 }

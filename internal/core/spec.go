@@ -146,6 +146,8 @@ type BatchTeacher interface {
 
 // PathFilter answers rule R1's realizability question: is the label
 // path possible at all? dtd.DTD and dataguide.Guide both implement it.
+// The path slice is only valid for the duration of the call; the
+// learner reuses its backing array.
 type PathFilter interface {
 	AcceptsPath(path []string) bool
 }
