@@ -105,7 +105,7 @@ func BenchmarkAblationR1Source(b *testing.B) {
 		b.Run(mode, func(b *testing.B) {
 			var opts []core.Option
 			if mode == "dtd" {
-				opts = append(opts, core.WithSourceDTD(xmark.DTD()))
+				opts = append(opts, core.WithR1Filter(xmark.DTD()))
 			}
 			if mode == "guide" {
 				opts = append(opts, core.WithR1Filter(guide))

@@ -49,7 +49,8 @@ type IDTeacher interface {
 // counted per distinct word asked — one charge per word whether it went
 // out alone or inside a batch (the learner itself never repeats a word;
 // repeats are served from the observation table) — so the counts are
-// identical across the serial and batched protocols.
+// identical across the serial and batched protocols. Words a Deducer's
+// dead region answers are not asked and not counted.
 type Stats struct {
 	MembershipQueries  int
 	EquivalenceQueries int
@@ -135,6 +136,7 @@ func newLearner(alphabet []string, t Teacher, opts ...Option) (*learner, error) 
 	l.batch, _ = t.(BatchTeacher)
 	l.bids, _ = t.(IDBatchTeacher)
 	l.spec, _ = t.(Speculator)
+	l.ded, _ = t.(Deducer)
 	for _, o := range opts {
 		o(l)
 	}
@@ -143,7 +145,7 @@ func newLearner(alphabet []string, t Teacher, opts ...Option) (*learner, error) 
 
 var (
 	errWordsAlphabet = errors.New("angluin: Words built for a different alphabet")
-	errIDsNeedWords  = errors.New("angluin: an ID teacher or Speculator needs WithWords")
+	errIDsNeedWords  = errors.New("angluin: an ID teacher, Speculator or Deducer needs WithWords")
 	// ErrNotClosed reports a hypothesis requested from an observation
 	// table that is not closed: a one-symbol extension of S whose row no
 	// prefix in S realizes. close() establishes closedness before every
@@ -159,7 +161,8 @@ func checkWords(w *Words, alphabet []string, t Teacher) error {
 	if w == nil {
 		_, ids := t.(IDTeacher)
 		_, spec := t.(Speculator)
-		if ids || spec {
+		_, ded := t.(Deducer)
+		if ids || spec || ded {
 			return errIDsNeedWords
 		}
 		return nil
@@ -191,17 +194,21 @@ type learner struct {
 	// closedness scan then prefills whole query sets per round trip
 	// (see batch.go) instead of asking cell by cell. spec is the
 	// teacher's speculation hook, offered in-flight cells.
-	batch   BatchTeacher
-	bids    IDBatchTeacher
-	spec    Speculator
+	batch BatchTeacher
+	bids  IDBatchTeacher
+	spec  Speculator
+	// ded is the teacher's dead region when it has one (see Deducer):
+	// cells in it are filled No without a node or a question.
+	ded     Deducer
 	initial []string
 	maxEQ   int
 
 	// Word interning. Every access string, one-symbol extension, and
-	// asked word is a node of the Words trie; all per-word state below
-	// is indexed by node ID, so the scans that dominate L* — closedness,
-	// consistency, hypothesis extraction — and the membership-table
-	// probes run on integer lookups with zero string building. The
+	// asked word is a node of the Words trie (a cell deduced dead is
+	// not); all per-word state below is indexed by node ID, so the
+	// scans that dominate L* — closedness, consistency, hypothesis
+	// extraction — and the membership-table probes run on integer
+	// lookups with zero string building. The
 	// trie may hold nodes from earlier Learn calls on the same Words;
 	// grow covers them with fresh per-call state.
 	tr *Words
@@ -331,28 +338,32 @@ func (l *learner) checkedAt(id int32) uint32 {
 }
 
 // node returns the trie node for prefix p extended by symbol sym,
-// registering it on first sight.
+// registering it on first sight — in the dead region too, marked dead,
+// because the node is a table prefix whose row needs an ID.
 func (l *learner) node(p, sym int32) int32 {
-	if c := l.tr.child(p, sym); c >= 0 {
-		return c
-	}
-	id := l.tr.add(p, sym)
+	id := l.tr.extend(p, sym, l.ded)
 	l.grow()
 	return id
 }
 
-// walk returns the node of prefix id extended by the given symbols.
-func (l *learner) walk(id int32, syms []int32) int32 {
-	for _, s := range syms {
-		id = l.node(id, s)
+// cell returns the node of the table cell prefix id · suffix syms, or
+// -1 when the cell's word lies in the teacher's dead region: then no
+// node is added below the dead step, and the dead word is reported to
+// the Deducer on its first sight.
+func (l *learner) cell(id int32, syms []int32) int32 {
+	wid, k := l.tr.cell(id, syms, l.ded)
+	if wid < 0 {
+		l.tr.deduce(l.ded, k)
+		return -1
 	}
-	return id
+	l.grow()
+	return wid
 }
 
 // internWord interns a word, resolving its symbols as needed
 // (counterexamples can contain symbols outside the alphabet).
 func (l *learner) internWord(w []string) int32 {
-	id := l.tr.Intern(w)
+	id := l.tr.internVia(w, l.ded)
 	l.grow()
 	return id
 }
@@ -377,6 +388,10 @@ func (l *learner) setAns(id int32, v bool) {
 
 func (l *learner) member(w []string) (bool, error) {
 	id := l.internWord(w)
+	if k, dead := l.tr.key(id); dead {
+		l.tr.deduce(l.ded, k)
+		return false, nil
+	}
 	if v := l.ans[id]; v != ansUnknown {
 		return v == ansYes, nil
 	}
@@ -410,28 +425,31 @@ func (l *learner) ask(id int32) (bool, error) {
 // forever: a call after a suffix was added probes just the new columns.
 // A cell's membership lookup walks the suffix symbols from the prefix
 // node — integer steps, no string building — and asks the teacher only
-// on a miss. Under a batch teacher prefill has already filled every
-// row the scans read, so this loop runs only for the serial teacher.
+// on a miss; a cell in the teacher's dead region is No without a walk
+// below the dead step. Under a batch teacher prefill has already filled
+// every row the scans read, so this loop runs only for the serial
+// teacher.
 // The returned slice aliases the entry's growing buffer — valid until
 // the next row call for the same prefix, which callers never
 // interleave.
 func (l *learner) row(id int32) ([]byte, error) {
 	ent := l.rowEnt(id)
 	for i := len(ent.bits); i < len(l.e); i++ {
-		wid := l.walk(id, l.eSyms[i])
-		if l.ans[wid] == ansUnknown {
+		wid := l.cell(id, l.eSyms[i])
+		if wid >= 0 && l.ans[wid] == ansUnknown {
 			if _, err := l.ask(wid); err != nil {
 				return nil, err
 			}
 		}
-		ent.bits = append(ent.bits, cellBit(l.ans[wid]))
+		ent.bits = append(ent.bits, l.cellBit(wid))
 	}
 	return ent.bits, nil
 }
 
-// cellBit renders an answered cell as its row byte.
-func cellBit(v uint8) byte {
-	if v == ansYes {
+// cellBit renders an answered cell — a word ID, or -1 for a deduced
+// one — as its row byte.
+func (l *learner) cellBit(wid int32) byte {
+	if wid >= 0 && l.ans[wid] == ansYes {
 		return '1'
 	}
 	return '0'

@@ -200,11 +200,13 @@ func (l *learner) waveWords(wids []int32) [][]string {
 // extensions — as one wave, in exactly the serial ask order: first the
 // rows of S (the tabled loop's cells, row by row, column by column),
 // then the extension rows in scan order. Cells already answered in the
-// table contribute nothing; duplicate words within the wave (distinct
-// prefix·suffix splits of one word) are asked once, as serially. Each
-// cell is walked once: collection records the cell's word ID per row,
-// and once the wave lands the answers are appended to the rows, so the
-// scans' row calls that follow are pure reads. Without a batch teacher
+// table contribute nothing, and neither do cells in the teacher's dead
+// region (see Deducer), which are filled No at collection; duplicate
+// words within the wave (distinct prefix·suffix splits of one word) are
+// asked once, as serially. Each cell is walked once: collection records
+// the cell's word ID per row (-1 for a dead one), and once the wave
+// lands the answers are appended to the rows, so the scans' row calls
+// that follow are pure reads. Without a batch teacher
 // prefill is a no-op and the scan asks cell by cell.
 func (l *learner) prefill() error {
 	from := l.prefilled
@@ -223,9 +225,9 @@ func (l *learner) prefill() error {
 		}
 		l.pfRows = append(l.pfRows, id)
 		for i := have; i < len(l.e); i++ {
-			wid := l.walk(id, l.eSyms[i])
+			wid := l.cell(id, l.eSyms[i])
 			l.pfCells = append(l.pfCells, wid)
-			if l.ans[wid] != ansUnknown || l.waveMark[wid] == l.waveEpoch {
+			if wid < 0 || l.ans[wid] != ansUnknown || l.waveMark[wid] == l.waveEpoch {
 				continue
 			}
 			l.waveMark[wid] = l.waveEpoch
@@ -254,7 +256,7 @@ func (l *learner) prefill() error {
 		ent := l.rowEnt(id)
 		n := len(l.e) - len(ent.bits)
 		for _, wid := range cells[:n] {
-			ent.bits = append(ent.bits, cellBit(l.ans[wid]))
+			ent.bits = append(ent.bits, l.cellBit(wid))
 		}
 		cells = cells[n:]
 	}

@@ -50,6 +50,9 @@ type kvLearner struct {
 	batch BatchTeacher
 	bids  IDBatchTeacher
 	spec  Speculator
+	// ded is the teacher's dead region (see Deducer): probes in it are
+	// No without a node or a question.
+	ded Deducer
 	// words interns every probe; cache and parked are keyed by its IDs.
 	words *Words
 	// parked holds speculated successor-probe answers by word ID,
@@ -81,6 +84,7 @@ func LearnKV(alphabet []string, t Teacher, opts ...Option) (*pathre.DFA, Stats, 
 		batch:    l.batch,
 		bids:     l.bids,
 		spec:     l.spec,
+		ded:      l.ded,
 		words:    l.tr,
 		maxEQ:    l.maxEQ,
 		initial:  l.initial,
@@ -97,9 +101,13 @@ func LearnKV(alphabet []string, t Teacher, opts ...Option) (*pathre.DFA, Stats, 
 	return d, stats, err
 }
 
-// member answers a membership query for word id, from the cache or
-// the teacher.
+// member answers a membership query for word id: No for a word in the
+// dead region, else from the cache or the teacher.
 func (k *kvLearner) member(id int32) (bool, error) {
+	if key, dead := k.words.key(id); dead {
+		k.words.deduce(k.ded, key)
+		return false, nil
+	}
 	if v, ok := k.cache[id]; ok {
 		return v, nil
 	}
@@ -139,11 +147,21 @@ func (k *kvLearner) commit(id int32, v bool) {
 	}
 }
 
+// probe returns the node of the word id·suffix, or -1 when the word
+// lies in the dead region, reporting it to the Deducer on first sight.
+func (k *kvLearner) probe(id int32, suffix []int32) int32 {
+	pid, key := k.words.cell(id, suffix, k.ded)
+	if pid < 0 {
+		k.words.deduce(k.ded, key)
+	}
+	return pid
+}
+
 // sift walks word wid down the classification tree to its leaf.
 func (k *kvLearner) sift(wid int32) (*ctNode, error) {
 	cur := k.root
 	for !cur.isLeaf() {
-		v, err := k.memberSift(k.words.walk(wid, cur.suffix), wid, cur)
+		v, err := k.memberSift(k.probe(wid, cur.suffix), wid, cur)
 		if err != nil {
 			return nil, err
 		}
@@ -156,7 +174,8 @@ func (k *kvLearner) sift(wid int32) (*ctNode, error) {
 	return cur, nil
 }
 
-// memberSift asks one sift probe, word id, sifting word wid at cur.
+// memberSift asks one sift probe, word id (-1: a dead probe, No),
+// sifting word wid at cur.
 // With a batch teacher the probe ships as a single-query set on its own
 // goroutine while the calling goroutine speculatively precomputes the
 // two possible successor probes — wid·suffix for whichever child the
@@ -164,6 +183,9 @@ func (k *kvLearner) sift(wid int32) (*ctNode, error) {
 // promise; parked values are reconciled by commit when (if ever) the
 // successor probe is asked.
 func (k *kvLearner) memberSift(id, wid int32, cur *ctNode) (bool, error) {
+	if id < 0 {
+		return false, nil
+	}
 	if v, ok := k.cache[id]; ok {
 		return v, nil
 	}
@@ -171,14 +193,18 @@ func (k *kvLearner) memberSift(id, wid int32, cur *ctNode) (bool, error) {
 		return k.ask(id)
 	}
 	// Intern the successor probes before the batch flies: the Words
-	// never changes under an in-flight batch.
+	// never changes under an in-flight batch. A dead successor needs no
+	// speculation, and is reported to the Deducer only if it is asked.
 	var next [2]int32
 	nn := 0
 	for _, child := range [2]*ctNode{cur.yes, cur.no} {
 		if child == nil || child.isLeaf() {
 			continue
 		}
-		nid := k.words.walk(wid, child.suffix)
+		nid, _ := k.words.cell(wid, child.suffix, k.ded)
+		if nid < 0 {
+			continue
+		}
 		if _, ok := k.cache[nid]; ok {
 			continue
 		}
@@ -239,7 +265,7 @@ func (k *kvLearner) run() (*pathre.DFA, Stats, error) {
 		// Seed the tree as if the dropped example's path were a first
 		// positive counterexample (mirrors WithInitialExample for L*):
 		// only useful when it actually distinguishes.
-		iid := k.words.Intern(k.initial)
+		iid := k.words.internVia(k.initial, k.ded)
 		mi, err := k.member(iid)
 		if err != nil {
 			return nil, k.stats, err
@@ -273,7 +299,7 @@ func (k *kvLearner) run() (*pathre.DFA, Stats, error) {
 		if ce == nil {
 			return nil, k.stats, fmt.Errorf("angluin: KV teacher rejected hypothesis without a counterexample")
 		}
-		inTarget, err := k.member(k.words.Intern(ce))
+		inTarget, err := k.member(k.words.internVia(ce, k.ded))
 		if err != nil {
 			return nil, k.stats, err
 		}
@@ -315,7 +341,7 @@ func (k *kvLearner) hypothesis() (*pathre.DFA, []*ctNode, error) {
 		}
 		d.Accept[i] = acc
 		for ai, a := range k.alphabet {
-			target, err := k.sift(k.words.step(l.access, k.words.alpha[ai]))
+			target, err := k.sift(k.words.extend(l.access, k.words.alpha[ai], k.ded))
 			if err != nil {
 				return nil, nil, err
 			}
@@ -347,7 +373,7 @@ func (k *kvLearner) process(ce []string, h *pathre.DFA, leaves []*ctNode) error 
 	// prev and id are the word IDs of ce[:i-1] and ce[:i].
 	prev, id := int32(0), int32(0)
 	for i := 1; i <= len(ce); i++ {
-		prev, id = id, k.words.step(id, syms[i-1])
+		prev, id = id, k.words.extend(id, syms[i-1], k.ded)
 		sifted, err := k.sift(id)
 		if err != nil {
 			return err
@@ -407,7 +433,12 @@ func (k *kvLearner) split(leaf *ctNode, newAccess int32, suffix []int32) error {
 	internal.suffix = append([]int32(nil), suffix...)
 	oldLeaf := &ctNode{access: oldAccess, parent: internal}
 	newLeaf := &ctNode{access: newAccess, parent: internal}
-	v, err := k.member(k.words.walk(oldAccess, suffix))
+	pid := k.probe(oldAccess, suffix)
+	v := false
+	var err error
+	if pid >= 0 {
+		v, err = k.member(pid)
+	}
 	if err != nil {
 		return err
 	}

@@ -12,7 +12,9 @@ import "sync"
 // IDBatchTeacher / Speculator receive only the ID, so a teacher keeping
 // its own answer state indexes it the same way and reads the word back
 // (Depth, LastSym, AppendWord) only when it needs it. No per-word key
-// string is ever built.
+// string is ever built. Under a teacher's dead region (see Deducer)
+// the trie holds only live words and the table prefixes; a dead cell's
+// word is keyed in a side intern instead of getting a node.
 //
 // IDs are dense, append-only and never reassigned, so they stay valid
 // for the life of the Words: a caller that learns one target over
@@ -68,6 +70,18 @@ type Words struct {
 	rowEnd int32
 	kids   map[uint64]int32
 
+	// The dead-word registry (see Deducer). A word in the teacher's
+	// dead region gets no node of its own: it is keyed by its anchor,
+	// the node of its longest live prefix, and its rest, the remaining
+	// symbols from the first dead one on, interned once per Words in
+	// rests, a second trie over the same symbols whose node IDs are the
+	// rest IDs (0, its root, is the empty rest); it is made on the first
+	// dead word. seen holds one bitset over rest IDs per anchor, so each
+	// dead word is reported to the teacher exactly once for the life of
+	// the Words.
+	rests *Words
+	seen  [][]uint64
+
 	ids []int32 // Intern's resolve scratch
 }
 
@@ -82,6 +96,13 @@ type wnode struct {
 	kidSym int32
 	kid    int32
 	row    int32
+	// anchor is -1 for a live node. A dead node — a table prefix in the
+	// dead region, which needs an ID for its row — carries its word's
+	// dead-word key: anchor is the last live prefix's node and rest the
+	// remainder's ID. For a live node rest is instead the index of its
+	// seen bitset, -1 until a dead word below it is first seen.
+	anchor int32
+	rest   int32
 }
 
 const (
@@ -143,6 +164,10 @@ func (w *Words) Release() {
 	w.rows = w.rows[:0]
 	clear(w.symStr)
 	w.symStr = w.symStr[:0]
+	if w.rests != nil {
+		w.rests.Release()
+		w.rests = nil
+	}
 	w.tab = nil
 	wordsPool.Put(w)
 }
@@ -159,8 +184,14 @@ func (w *Words) init(tab *SymbolTable, alphabet []string) {
 		w.note(id, alphabet[ai])
 		w.aiOf[id] = int32(ai)
 	}
+	w.reset()
+	w.seen = w.seen[:0]
+}
+
+// reset empties the trie to its ε root.
+func (w *Words) reset() {
 	w.n, w.rowEnd = 0, 0
-	w.newNode(-1, -1, 0)
+	w.newNode(-1, -1, 0, -1, -1)
 	clear(w.kids)
 }
 
@@ -223,16 +254,13 @@ func (w *Words) walk(id int32, syms []int32) int32 {
 	return id
 }
 
-// InternSyms is Intern for a word already resolved to symbol IDs of the
-// Words' table, so a caller interning many words over one table
-// resolves each symbol once instead of once per word.
-func (w *Words) InternSyms(syms []int32) int32 {
+// InternAlpha is Intern for a word given as positions in the Words'
+// alphabet (the alphabet NewWords was given), which need no symbol
+// resolution at all.
+func (w *Words) InternAlpha(pos []int32) int32 {
 	id := int32(0)
-	for _, sym := range syms {
-		if int(sym) >= len(w.symStr) || w.symStr[sym] == "" {
-			w.note(sym, w.tab.Sym(sym))
-		}
-		id = w.step(id, sym)
+	for _, ai := range pos {
+		id = w.step(id, w.alpha[ai])
 	}
 	return id
 }
@@ -272,7 +300,7 @@ func (w *Words) rowChild(p int32, ai int) int32 {
 }
 
 // child returns the child of p along symbol sym, or -1. sym must have
-// been noted (through init, Intern or InternSyms).
+// been noted (through init or Intern).
 func (w *Words) child(p, sym int32) int32 {
 	pn := w.node(p)
 	if pn.kidSym == sym {
@@ -291,13 +319,13 @@ func (w *Words) child(p, sym int32) int32 {
 
 // newNode appends a node record, taking a fresh page when the last one
 // is full, and returns its ID.
-func (w *Words) newNode(p, sym, depth int32) int32 {
+func (w *Words) newNode(p, sym, depth, anchor, rest int32) int32 {
 	id := w.n
 	if int(id>>nodePageBits) == len(w.nodes) {
 		w.nodes = append(w.nodes, nodePages.Get().(*nodePage))
 	}
 	w.n++
-	*w.node(id) = wnode{parent: p, sym: sym, depth: depth, kidSym: -1, kid: -1, row: -1}
+	*w.node(id) = wnode{parent: p, sym: sym, depth: depth, kidSym: -1, kid: -1, row: -1, anchor: anchor, rest: rest}
 	return id
 }
 
@@ -321,9 +349,21 @@ func (w *Words) newRow() (int32, []int32) {
 }
 
 // add registers a new child of p along sym — the caller has checked it
-// is absent — and returns its ID.
+// is absent — and returns its ID. A child of a dead node is dead, with
+// its parent's anchor and rest extended by sym; any other child is
+// live.
 func (w *Words) add(p, sym int32) int32 {
-	id := w.newNode(p, sym, w.node(p).depth+1)
+	anchor, rest := int32(-1), int32(-1)
+	if pn := w.node(p); pn.anchor >= 0 {
+		anchor, rest = pn.anchor, w.restChild(pn.rest, sym)
+	}
+	return w.link(p, sym, anchor, rest)
+}
+
+// link appends a child of p along sym with the given dead-word key
+// (anchor -1 and rest -1 for a live node) and hooks it under p.
+func (w *Words) link(p, sym, anchor, rest int32) int32 {
+	id := w.newNode(p, sym, w.node(p).depth+1, anchor, rest)
 	pn := w.node(p)
 	if pn.kidSym < 0 {
 		pn.kidSym = sym

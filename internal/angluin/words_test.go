@@ -16,7 +16,7 @@ import (
 // oracle the trie replaced: two words get the same ID iff their joined
 // keys are equal, and every ID resolves back (Word) to exactly the
 // oracle's word. Words are interned both from strings (Intern) and from
-// pre-resolved symbol IDs (InternSyms); the two must agree. Symbols are
+// alphabet positions (InternAlpha); the two must agree. Symbols are
 // non-empty by construction — the trie distinguishes the empty word
 // from a one-empty-symbol word, a split the joined-string oracle
 // conflates, and the learner's alphabets are document labels, never "".
@@ -39,15 +39,17 @@ func TestTriePropertyAgainstStringJoinOracle(t *testing.T) {
 		for i := 0; i < 120; i++ {
 			n := rng.Intn(8)
 			word := make([]string, n)
+			pos := make([]int32, n)
 			for j := range word {
-				word[j] = alphabet[rng.Intn(nsym)]
+				pos[j] = int32(rng.Intn(nsym))
+				word[j] = alphabet[pos[j]]
 			}
 			key := strings.Join(word, "\x00")
 			var id int32
 			if i%2 == 0 {
 				id = w.Intern(word)
 			} else {
-				id = w.InternSyms(tab.AppendIDs(nil, word))
+				id = w.InternAlpha(pos)
 			}
 			if prev, seen := idOf[key]; seen {
 				if prev != id {
@@ -399,7 +401,7 @@ func checkReleased(t *testing.T, w *Words) {
 
 // TestWordsPagesAgainstOracle grows Words across at least three node
 // pages and three row pages and checks them against the string-join
-// oracle: Word, Intern and InternSyms agree, and equal keys share an ID
+// oracle: Word, Intern and InternAlpha agree, and equal keys share an ID
 // while distinct keys never do. The alphabets are 1 symbol (a row page
 // holds the most rows), 77 (the XMark document's) and 256, the largest
 // dense alphabet, whose row pages hold the fewest rows. Each round
@@ -424,10 +426,10 @@ func TestWordsPagesAgainstOracle(t *testing.T) {
 		intern := func(word []string) {
 			key := strings.Join(word, "\x00")
 			var id int32
-			if len(idOf)%2 == 0 {
-				id = w.Intern(word)
+			if pos, ok := alphaPos(word); ok && len(idOf)%2 == 1 {
+				id = w.InternAlpha(pos)
 			} else {
-				id = w.InternSyms(tab.AppendIDs(nil, word))
+				id = w.Intern(word)
 			}
 			if prev, seen := idOf[key]; seen && prev != id {
 				t.Fatalf("%d symbols: key %q got ID %d, previously %d", nsym, key, id, prev)
@@ -461,4 +463,18 @@ func TestWordsPagesAgainstOracle(t *testing.T) {
 		w.Release()
 		checkReleased(t, w)
 	}
+}
+
+// alphaPos returns word as positions in an alphabet of "s%03d" symbols,
+// false when a symbol lies outside it.
+func alphaPos(word []string) ([]int32, bool) {
+	pos := make([]int32, len(word))
+	for i, s := range word {
+		var n int32
+		if _, err := fmt.Sscanf(s, "s%03d", &n); err != nil {
+			return nil, false
+		}
+		pos[i] = n
+	}
+	return pos, true
 }

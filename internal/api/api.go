@@ -67,7 +67,11 @@ type SessionV1 struct {
 	Stats    *StatsV1 `json:"stats,omitempty"`
 	// BatchedMQs (schema version 4) counts the membership queries the
 	// session answered through batched teacher round trips or the local
-	// mirror; zero for sessions learned over the serial protocol.
+	// mirror; zero for sessions learned over the serial protocol. It is
+	// a transport count, not a dialogue count: the learner answers the
+	// words in rule R1's dead region itself (see angluin.Deducer), so
+	// they never ship in a batch, while the dialogue counters in Stats
+	// still charge every word.
 	BatchedMQs int `json:"batched_mqs,omitempty"`
 }
 

@@ -22,7 +22,7 @@ func TestAcceptedPaths(t *testing.T) {
 		d := pathre.Compile(pathre.MustParsePath(src), eng.alphabet)
 		var want []int32
 		for i := range eng.paths {
-			if d.Accepts(eng.paths[i].labels) {
+			if d.Accepts(eng.paths[i].Labels(eng.alphabet)) {
 				want = append(want, int32(i))
 			}
 		}

@@ -313,18 +313,18 @@ func (p *pLearner) conditionBox(ce *xmldoc.Node) ([]BoxEntry, error) {
 // speculateMember implements the angluin.Speculator contract for the
 // fragment: answer a membership query from state that is immutable
 // while a batch is in flight — the options, the Words, the word-to-path
-// map, the R1 filter, and the fragment mirror — or admit it cannot. The committed
-// dialogue never depends on a speculated value (the learner reconciles
-// it against the landed answer), so the only cost of a wrong promise
-// here is a discarded precompute. The answer cache, the positives list,
+// map, the R1 filter and its memoized states, and the fragment mirror
+// — or admit it cannot. The committed dialogue never depends on a
+// speculated value (the learner reconciles it against the landed
+// answer), so the only cost of a wrong promise here is a discarded
+// precompute. The answer cache, the positives list,
 // and the evaluator all advance with the dialogue on the batch
 // goroutine and must not be read here.
 func (p *pLearner) speculateMember(id int32) (bool, bool) {
 	nodes := p.nodesAt(id)
-	// The Words does not grow while a batch is in flight, so reading
-	// words from it here is safe; a metadata filter's word goes into
-	// specBuf, never the batch goroutine's wordBuf.
-	if p.eng.Opts.R1 && p.r1Applicable(id, nodes, &p.specBuf) {
+	// The Words does not grow while a batch is in flight, so reading it
+	// here is safe.
+	if p.r1No(id, nodes) {
 		return false, true
 	}
 	// The R2 state machine only moves on counterexamples, which cannot
@@ -426,8 +426,7 @@ func (p *pLearner) memberBatchWire(ids []int32) ([]bool, error) {
 		}
 		queries := make([]string, len(idxs))
 		for j, i := range idxs {
-			p.wordBuf = p.words.AppendWord(p.wordBuf[:0], ids[i])
-			queries[j] = "/" + strings.Join(p.wordBuf, "/")
+			queries[j] = "/" + strings.Join(p.words.Word(ids[i]), "/")
 		}
 		emit := p.eng.observePair(Event{Fragment: p.frag.Var, Queries: queries})
 		ans, err := p.eng.batch.MemberBatch(p.ctx, p.frag, p.pinCtx, reps)

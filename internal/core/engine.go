@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/angluin"
@@ -37,9 +37,10 @@ type Engine struct {
 	// supplied (bundle-backed sessions intern a document's labels once
 	// across all replicas), a private table otherwise.
 	syms *angluin.SymbolTable
-	// paths groups instance nodes by their root path, sorted by the
-	// "\x00"-joined labels (the deterministic iteration order).
-	paths []instPath
+	// paths groups instance nodes by their root path, in learner order
+	// (xq.SortRootPaths): the shared index's table when the session
+	// adopted one, else built by the engine's own walk. Read-only.
+	paths []xq.RootPath
 	// realized caches the DFA of the instance's realized paths.
 	realized *pathre.DFA
 
@@ -77,20 +78,6 @@ func NewEngine(source *xmldoc.Document, teacher Teacher, opts Options) *Engine {
 	return newEngine(source, teacher, opts)
 }
 
-// instPath is one distinct root path of the instance.
-type instPath struct {
-	key    string // pathKey(labels), the sort key
-	labels []string
-	// syms is labels resolved through the engine's symbol table once,
-	// so fragment learners intern the path without taking its lock.
-	syms []int32
-	// pos is labels as positions in the engine's sorted alphabet, so
-	// automata over that alphabet run the path on transition rows
-	// alone (see acceptedPaths).
-	pos   []int32
-	nodes []*xmldoc.Node // document order
-}
-
 func newEngine(source *xmldoc.Document, teacher Teacher, opts Options) *Engine {
 	e := &Engine{
 		Source:   source,
@@ -121,54 +108,27 @@ func newEngine(source *xmldoc.Document, teacher Teacher, opts Options) *Engine {
 	}
 	if ix := opts.SharedIndex; ix != nil && ix.Doc() == source {
 		// Adopt the shared, immutable index: the evaluator skips its
-		// lazy index build and the root-path table comes straight from
-		// the index's walk, which visits nodes in the same order as
-		// source.Walk (attributes first, then children). The node
-		// slices stay index-owned; the full-slice expression keeps a
-		// stray append from ever writing into them.
+		// lazy index build, and the root-path table is the index's
+		// sorted one, built once per document.
 		e.eval = xq.NewEvaluatorWithIndex(ix)
-		ix.RootPaths(func(labels []string, nodes []*xmldoc.Node) {
-			e.paths = append(e.paths, instPath{key: pathKey(labels), labels: labels, nodes: nodes[:len(nodes):len(nodes)]})
-		})
+		e.paths = ix.SortedRootPaths()
 	} else {
 		at := map[string]int{}
 		source.Walk(func(n *xmldoc.Node) bool {
 			if n.Kind == xmldoc.ElementNode || n.Kind == xmldoc.AttributeNode {
 				w := n.Path()
-				k := pathKey(w)
+				k := strings.Join(w, "\x00")
 				i, ok := at[k]
 				if !ok {
 					i = len(e.paths)
 					at[k] = i
-					e.paths = append(e.paths, instPath{key: k, labels: w})
+					e.paths = append(e.paths, xq.RootPath{Pos: xq.PathPos(e.alphabet, w)})
 				}
-				e.paths[i].nodes = append(e.paths[i].nodes, n)
+				e.paths[i].Nodes = append(e.paths[i].Nodes, n)
 			}
 			return true
 		})
-	}
-	sort.Slice(e.paths, func(i, j int) bool { return e.paths[i].key < e.paths[j].key })
-	var syms []int32
-	for i := range e.paths {
-		syms = e.syms.AppendIDs(syms, e.paths[i].labels)
-	}
-	// Every instance label is in the alphabet, so inverting the
-	// alphabet's symbol IDs maps each path symbol to its position.
-	alphaIDs := e.syms.AppendIDs(nil, e.alphabet)
-	posOf := make([]int32, e.syms.Len())
-	for ai, id := range alphaIDs {
-		posOf[id] = int32(ai)
-	}
-	pos := make([]int32, len(syms))
-	for j, id := range syms {
-		pos[j] = posOf[id]
-	}
-	off := 0
-	for i := range e.paths {
-		n := len(e.paths[i].labels)
-		e.paths[i].syms = syms[off : off+n : off+n]
-		e.paths[i].pos = pos[off : off+n : off+n]
-		off += n
+		xq.SortRootPaths(e.paths)
 	}
 	return e
 }
@@ -564,7 +524,7 @@ func (e *Engine) relativize(f *fragment, pl *pLearner, anchorDFA *pathre.DFA) st
 			if len(steps) == 0 {
 				break
 			}
-			if !pl.positivesShareRelPath(a.anchorNode, steps, f.pair) {
+			if !pl.positivesShareRelPath(a.anchorNode, steps) {
 				break
 			}
 			f.xqAnchor.From = a.ref.AnchorVar
@@ -611,7 +571,7 @@ func predMentions(p *xq.Pred, v string) bool {
 func (e *Engine) nodesAccepted(d *pathre.DFA) []*xmldoc.Node {
 	var out []*xmldoc.Node
 	for _, i := range e.acceptedPaths(nil, d) {
-		out = append(out, e.paths[i].nodes...)
+		out = append(out, e.paths[i].Nodes...)
 	}
 	sortByID(out)
 	return out
@@ -626,7 +586,7 @@ func (e *Engine) acceptedPaths(dst []int32, d *pathre.DFA) []int32 {
 	d.MustHaveAlphabet(e.alphabet, "acceptedPaths")
 	for i := range e.paths {
 		q := d.Start
-		for _, a := range e.paths[i].pos {
+		for _, a := range e.paths[i].Pos {
 			q = d.Trans[q][a]
 		}
 		if d.Accept[q] {
@@ -724,7 +684,7 @@ func (e *Engine) trimDFA(d *pathre.DFA) *pathre.DFA {
 		} else {
 			words := make([][]string, 0, len(e.paths))
 			for i := range e.paths {
-				words = append(words, e.paths[i].labels)
+				words = append(words, e.paths[i].Labels(e.alphabet))
 			}
 			e.realized = pathre.FromStrings(words, e.alphabet)
 		}

@@ -295,7 +295,7 @@ func TestLearnR1Only(t *testing.T) {
 
 func TestLearnWithDTDFilter(t *testing.T) {
 	opts := core.DefaultOptions()
-	opts.SourceDTD = dtd.MustParse(sourceDTD)
+	opts.R1Filter = dtd.MustParse(sourceDTD)
 	tree, stats, _, doc := runningExample(t, opts, teacher.BestCase)
 	if _, _, eq := resultEqual(doc, tree, truthQ1()); !eq {
 		t.Fatal("DTD-filtered R1 must converge")

@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/angluin"
 	"repro/internal/datagraph"
-	"repro/internal/dtd"
 	"repro/internal/xmldoc"
 	"repro/internal/xq"
 )
@@ -53,16 +52,10 @@ func WithR2(on bool) Option {
 }
 
 // WithR1Filter backs R1 with an external metadata oracle (a DTD, a
-// DataGuide, a Relax NG schema...); it takes precedence over
-// WithSourceDTD. A nil filter falls back to the instance path index.
+// DataGuide, a Relax NG schema...). A nil filter falls back to the
+// instance's realized paths.
 func WithR1Filter(f PathFilter) Option {
 	return func(o *Options) { o.R1Filter = f }
-}
-
-// WithSourceDTD backs R1 with schema metadata instead of the instance
-// path index.
-func WithSourceDTD(d *dtd.DTD) Option {
-	return func(o *Options) { o.SourceDTD = d }
 }
 
 // WithMaxEQ bounds equivalence queries per fragment; n <= 0 restores

@@ -354,8 +354,8 @@ func TestFunctionalOptionsSetFields(t *testing.T) {
 		t.Fatalf("WithRelativize(false): %+v", o)
 	}
 	d := dtd.MustParse(`<!ELEMENT a (#PCDATA)>`)
-	if o := apply(core.WithSourceDTD(d)); o.SourceDTD != d {
-		t.Fatalf("WithSourceDTD: %+v", o)
+	if o := apply(core.WithR1Filter(d)); o.R1Filter != d {
+		t.Fatalf("WithR1Filter: %+v", o)
 	}
 	// WithOptions replaces the whole configuration, then later options
 	// refine it.

@@ -42,6 +42,7 @@ type pans struct {
 type fragScratch struct {
 	ans  []pans
 	path []int32
+	fst  []int32
 }
 
 var fragPool = sync.Pool{New: func() any { return new(fragScratch) }}
@@ -92,18 +93,21 @@ type pLearner struct {
 	ans   []pans
 	path  []int32
 	sc    *fragScratch
+	// fst memoizes the R1 metadata filter's state per word ID (see
+	// PathFilter; -1 a rejected path, fstUnknown not stepped yet). Only
+	// deadStep writes it, on the learn goroutine and never while a batch
+	// is in flight, so the batch goroutine and the Speculator may read
+	// it at once.
+	fst []int32
+	// posWords holds the word IDs of positives[:len(posWords)], filled
+	// as positiveSharesPath needs them.
+	posWords []int32
 
 	r2 r2mode
 	// lastSym is the ID of the dropped example's last label in the
 	// engine's symbol table, so rule R2 compares a word's last label by
 	// ID (Words.LastSym) without building the word.
 	lastSym int32
-	// wordBuf and specBuf are word scratch for the rule-R1 metadata
-	// filters, which take a label path: wordBuf serves the dialogue
-	// (memberLocal, the wire path), specBuf the Speculator. The two
-	// run on different goroutines while a batch is in flight, so they
-	// never share a buffer.
-	wordBuf, specBuf []string
 
 	clearner  *cLearner
 	explicit  []*xq.Pred
@@ -133,8 +137,6 @@ type pLearner struct {
 	stats   *FragmentStats
 }
 
-func pathKey(w []string) string { return strings.Join(w, "\x00") }
-
 func newPLearner(ctx context.Context, eng *Engine, frag FragmentRef, pinCtx, condCtx map[string]*xmldoc.Node,
 	example *xmldoc.Node, strip int, stats *FragmentStats) *pLearner {
 	p := &pLearner{
@@ -158,14 +160,14 @@ func newPLearner(ctx context.Context, eng *Engine, frag FragmentRef, pinCtx, con
 
 // bind sets up the fragment's word state for run: a Words over the
 // engine's shared symbol table, every instance path interned into it
-// from the engine's pre-resolved symbol IDs, and the dropped example's
-// path answered Yes.
+// from its alphabet positions, and the dropped example's path answered
+// Yes.
 func (p *pLearner) bind() {
 	p.sc = fragPool.Get().(*fragScratch)
 	p.words = angluin.NewWords(p.eng.syms, p.eng.alphabet)
 	path := p.sc.path[:0]
 	for i := range p.eng.paths {
-		id := p.words.InternSyms(p.eng.paths[i].syms)
+		id := p.words.InternAlpha(p.eng.paths[i].Pos)
 		for len(path) <= int(id) {
 			path = append(path, -1)
 		}
@@ -176,15 +178,15 @@ func (p *pLearner) bind() {
 	ex := p.words.Intern(p.example.Path())
 	p.lastSym = p.words.LastSym(ex)
 	p.setAns(ex, pans{ans: true, prov: provDrop})
+	p.fst = p.sc.fst[:0]
 }
 
 // unbind returns the word state to the pools.
 func (p *pLearner) unbind() {
-	p.sc.ans, p.sc.path = p.ans[:0], p.path[:0]
+	p.sc.ans, p.sc.path, p.sc.fst = p.ans[:0], p.path[:0], p.fst[:0]
 	fragPool.Put(p.sc)
 	p.words.Release()
-	p.sc, p.words, p.ans, p.path = nil, nil, nil, nil
-	p.wordBuf, p.specBuf = nil, nil
+	p.sc, p.words, p.ans, p.path, p.fst, p.posWords = nil, nil, nil, nil, nil, nil
 }
 
 // answer returns the dialogue's answer for word id, if it has one.
@@ -213,7 +215,7 @@ func (p *pLearner) setAns(id int32, a pans) {
 func (p *pLearner) nodesAt(id int32) []*xmldoc.Node {
 	if int(id) < len(p.path) {
 		if i := p.path[id]; i >= 0 {
-			return p.eng.paths[i].nodes
+			return p.eng.paths[i].Nodes
 		}
 	}
 	return nil
@@ -294,26 +296,16 @@ func (p *pLearner) member(id int32) (bool, error) {
 // current dialogue state and returns it uncommitted, so batch
 // transports can ask many representatives per round trip and commit
 // each answer with commitAsked once its representative is revalidated.
-// The rules decide from the word's trie node; only a metadata R1
-// filter needs the word itself.
+// The rules decide from the word's trie node, never from the word.
 func (p *pLearner) memberLocal(id int32) (ans, final bool, rep *xmldoc.Node) {
 	if a, ok := p.answer(id); ok {
 		return a.ans, true, nil
 	}
 	nodes := p.nodesAt(id)
-	r1 := p.eng.Opts.R1 && p.r1Applicable(id, nodes, &p.wordBuf)
+	r1 := p.r1No(id, nodes)
 	r2 := p.r2Applicable(id)
 	if r1 || r2 {
-		if r1 {
-			p.stats.ReducedR1++
-		}
-		if r2 {
-			p.stats.ReducedR2++
-		}
-		if r1 && r2 {
-			p.stats.ReducedBoth++
-		}
-		p.stats.ReducedTotal++
+		p.chargeReduced(r1, r2)
 		prov := provR1
 		if !r1 {
 			prov = provR2
@@ -350,23 +342,91 @@ func (p *pLearner) commitAsked(id int32, rep *xmldoc.Node, ans bool) {
 	}
 }
 
-// r1Applicable reports whether rule R1 answers word id No: the empty
-// word (the document node is never an extent member), a word the
-// metadata filter rejects, or, without a filter, a word no instance
-// node realizes (nodes are the word's instance nodes). A filter takes
-// the label path, which is built into *buf; the caller passes the
-// buffer of its own goroutine.
-func (p *pLearner) r1Applicable(id int32, nodes []*xmldoc.Node, buf *[]string) bool {
-	if p.words.Depth(id) == 0 {
+// chargeReduced charges one word the auto-answer rules answered No,
+// r1 and r2 telling which rules apply to it.
+func (p *pLearner) chargeReduced(r1, r2 bool) {
+	if r1 {
+		p.stats.ReducedR1++
+	}
+	if r2 {
+		p.stats.ReducedR2++
+	}
+	if r1 && r2 {
+		p.stats.ReducedBoth++
+	}
+	p.stats.ReducedTotal++
+}
+
+// deadStep implements angluin.Deducer: rule R1 decided once per trie
+// node. It reports whether the word of live node id extended by sym —
+// and with it every extension, since realizable paths are prefix-closed
+// — is one R1 answers No. Without a metadata filter the instance
+// decides, and bind interned every realized path, so a child the Words
+// lacks is unrealized. A filter steps the parent's state by the label.
+// With R1 off nothing is dead and the learner asks every word.
+func (p *pLearner) deadStep(id, sym int32) bool {
+	if !p.eng.Opts.R1 {
+		return false
+	}
+	f := p.eng.Opts.R1Filter
+	if f == nil {
 		return true
 	}
-	if f := p.eng.Opts.R1Filter; f != nil {
-		*buf = p.words.AppendWord((*buf)[:0], id)
-		return !f.AcceptsPath(*buf)
+	st := p.filterState(id, true)
+	return st < 0 || f.StepPath(st, p.words.Sym(sym)) < 0
+}
+
+// fstUnknown marks a word whose filter state is not stepped yet.
+const fstUnknown = -2
+
+// filterState returns node id's R1 filter state (state 0 is the empty
+// path), stepping it from the nearest memoized ancestor's. The learn
+// goroutine memoizes what it steps (memo); the batch goroutine and the
+// Speculator, which may run at once, only read.
+func (p *pLearner) filterState(id int32, memo bool) int32 {
+	if memo {
+		for len(p.fst) < p.words.Len() {
+			p.fst = append(p.fst, fstUnknown)
+		}
 	}
-	if d := p.eng.Opts.SourceDTD; d != nil {
-		*buf = p.words.AppendWord((*buf)[:0], id)
-		return !d.AcceptsPath(*buf)
+	if int(id) < len(p.fst) && p.fst[id] != fstUnknown {
+		return p.fst[id]
+	}
+	st := int32(0)
+	if par := p.words.Parent(id); par >= 0 {
+		if st = p.filterState(par, memo); st >= 0 {
+			st = max(p.eng.Opts.R1Filter.StepPath(st, p.words.Sym(p.words.LastSym(id))), -1)
+		}
+	}
+	if memo {
+		p.fst[id] = st
+	}
+	return st
+}
+
+// deduced implements angluin.Deducer: the learner met a word in R1's
+// dead region for the first time and answered it No without asking,
+// so the rule is charged here, once per distinct word, with R2
+// classifying the word by its last label exactly as memberLocal does.
+func (p *pLearner) deduced(_, rest int32) {
+	p.chargeReduced(true, p.r2Rejects(p.words.RestLastSym(rest)))
+}
+
+// r1No reports whether rule R1 answers word id No: the empty word (the
+// document node is never an extent member), a word the metadata filter
+// rejects, or, without a filter, a word no instance node realizes
+// (nodes are the word's instance nodes). The learner deduces R1's dead
+// region itself (deadStep), so a word it asks about is rejected here
+// only when it is ε or an instance path the filter rejects — an
+// instance that does not conform to its schema.
+func (p *pLearner) r1No(id int32, nodes []*xmldoc.Node) bool {
+	switch {
+	case !p.eng.Opts.R1:
+		return false
+	case p.words.Depth(id) == 0:
+		return true
+	case p.eng.Opts.R1Filter != nil:
+		return p.filterState(id, false) < 0
 	}
 	return len(nodes) == 0
 }
@@ -374,26 +434,31 @@ func (p *pLearner) r1Applicable(id int32, nodes []*xmldoc.Node, buf *[]string) b
 // r2Applicable reports whether rule R2 answers word id No: the rule is
 // active and the word's last label is not the dropped example's.
 func (p *pLearner) r2Applicable(id int32) bool {
-	return p.r2 == r2Active && p.words.Depth(id) > 0 && p.words.LastSym(id) != p.lastSym
+	return p.words.Depth(id) > 0 && p.r2Rejects(p.words.LastSym(id))
+}
+
+// r2Rejects reports whether rule R2 answers No for a non-empty word
+// whose last label has symbol ID last.
+func (p *pLearner) r2Rejects(last int32) bool {
+	return p.r2 == r2Active && last != p.lastSym
 }
 
 // positiveSharesPath reports whether a known positive example has the
-// same root path as n (evidence that the path language is right and a
-// value condition is missing).
-func (p *pLearner) positiveSharesPath(n *xmldoc.Node) bool {
-	k := pathKey(n.Path())
-	for _, q := range p.positives {
-		if pathKey(q.Path()) == k {
-			return true
-		}
+// same root path as word id (evidence that the path language is right
+// and a value condition is missing). Paths compare by word ID: bind
+// interned every instance path, so interning a positive's path finds
+// its node and adds none.
+func (p *pLearner) positiveSharesPath(id int32) bool {
+	for len(p.posWords) < len(p.positives) {
+		p.posWords = append(p.posWords, p.words.Intern(p.positives[len(p.posWords)].Path()))
 	}
-	return false
+	return slices.Contains(p.posWords, id)
 }
 
 // positivesShareRelPath reports whether every known positive's anchor
 // sits at the same relative label path below the given context node
 // (the precondition for structural relativization).
-func (p *pLearner) positivesShareRelPath(ctxNode *xmldoc.Node, steps []string, pair bool) bool {
+func (p *pLearner) positivesShareRelPath(ctxNode *xmldoc.Node, steps []string) bool {
 	for _, q := range p.positives {
 		a := p.anchor(q)
 		if !ctxNode.IsAncestorOf(a) {
@@ -409,7 +474,6 @@ func (p *pLearner) positivesShareRelPath(ctxNode *xmldoc.Node, steps []string, p
 			}
 		}
 	}
-	_ = pair
 	return true
 }
 
@@ -424,7 +488,7 @@ func (p *pLearner) hypothesisExtent(h *pathre.DFA) []*xmldoc.Node {
 	ix := p.eng.eval.Index()
 	var out []*xmldoc.Node
 	for _, i := range p.hypPaths {
-		for _, n := range p.eng.paths[i].nodes {
+		for _, n := range p.eng.paths[i].Nodes {
 			if p.structural && !ix.Ancestor(p.relAnchor, n) {
 				continue
 			}
@@ -546,7 +610,8 @@ func (p *pLearner) backtrackR2(id int32, w []string) error {
 // false when the path hypothesis must shrink (L* counterexample; the
 // caller returns ce's path).
 func (p *pLearner) processNegative(h *pathre.DFA, ce *xmldoc.Node) (bool, error) {
-	if p.positiveSharesPath(ce) {
+	id := p.words.Intern(ce.Path())
+	if p.positiveSharesPath(id) {
 		// A positive shares this path: the path language is right, so a
 		// value condition outside the learnable family is missing —
 		// open a Condition Box (Section 9(3), triggered by the IHT
@@ -568,7 +633,7 @@ func (p *pLearner) processNegative(h *pathre.DFA, ce *xmldoc.Node) (bool, error)
 	if p.r2 == r2AnyTag {
 		p.r2 = r2Off // negative counterexample under the relaxed assumption
 	}
-	p.setAns(p.words.Intern(ce.Path()), pans{ans: false, prov: provCE})
+	p.setAns(id, pans{ans: false, prov: provCE})
 	return false, nil
 }
 
@@ -676,7 +741,8 @@ func (p *pLearner) run() (*pathre.DFA, error) {
 
 // teacherAdapter exposes the pLearner as an angluin.Teacher with the ID
 // forms of the membership seam — single queries and query sets,
-// committed by index — whose word IDs are p.words' node IDs.
+// committed by index — whose word IDs are p.words' node IDs, and with
+// rule R1 as the learner's Deducer.
 type teacherAdapter struct{ p *pLearner }
 
 func (t teacherAdapter) Member(w []string) (bool, error) {
@@ -689,6 +755,8 @@ func (t teacherAdapter) Equivalent(h *pathre.DFA) ([]string, bool, error) {
 func (t teacherAdapter) MemberBatchIDs(ids []int32) ([]bool, error) {
 	return t.p.memberBatchIDs(ids)
 }
+func (t teacherAdapter) DeadStep(id, sym int32) bool { return t.p.deadStep(id, sym) }
+func (t teacherAdapter) Deduced(anchor, rest int32)  { t.p.deduced(anchor, rest) }
 
 // specAdapter adds the Speculator (precompute from immutable local
 // knowledge while a batch flies) under the batched protocol.

@@ -11,17 +11,17 @@ import (
 	"repro/internal/xmldoc"
 )
 
-// TestR1FiltersUnderSpeculation: a metadata R1 filter takes a label
-// path, so rule R1 builds the word from the fragment's Words on two
-// goroutines at once under the batched protocol: the batch goroutine
-// answering a wave from the mirror, and the learner's goroutine
-// offering the same wave to the Speculator. Under -race this pins that
-// the two never share a word buffer. With R1 backed by a DTD and by a
-// DataGuide, the batched run must give the serial run's tree and
-// per-fragment counters, and must actually have speculated.
+// TestR1FiltersUnderSpeculation: a metadata R1 filter is stepped per
+// trie node, memoized on the learner's goroutine as it extends live
+// nodes, while under the batched protocol the batch goroutine
+// answering a wave and the learner's goroutine offering the same wave
+// to the Speculator both read the memoized states. Under -race this
+// pins that no filter state is written while a batch is in flight. With R1 backed by a DTD and by a DataGuide, the
+// batched run must give the serial run's tree and per-fragment
+// counters, and must actually have speculated.
 func TestR1FiltersUnderSpeculation(t *testing.T) {
 	for name, filter := range map[string]func(*core.Options){
-		"dtd":       func(o *core.Options) { o.SourceDTD = dtd.MustParse(sourceDTD) },
+		"dtd":       func(o *core.Options) { o.R1Filter = dtd.MustParse(sourceDTD) },
 		"dataguide": func(o *core.Options) { o.R1Filter = dataguide.Build(xmldoc.MustParse(sourceXML)) },
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -144,12 +144,16 @@ type BatchTeacher interface {
 	EquivalentFull(ctx context.Context, frag FragmentRef, pin map[string]*xmldoc.Node, hyp []*xmldoc.Node) (add, remove []*xmldoc.Node, pol CEPolicy, err error)
 }
 
-// PathFilter answers rule R1's realizability question: is the label
-// path possible at all? dtd.DTD and dataguide.Guide both implement it.
-// The path slice is only valid for the duration of the call; the
-// learner reuses its backing array.
+// PathFilter answers rule R1's realizability question — is the label
+// path possible at all? — one label at a time, so the learner decides
+// it once per trie node (see angluin.Deducer). StepPath returns the
+// state of the path whose state is from, extended by label, or -1 when
+// that path is not realizable. State 0 is the empty path. Realizable
+// paths must be prefix-closed: once a path is rejected, every
+// extension is. dtd.DTD, dataguide.Guide and relaxng.Schema implement
+// it; a filter must be safe for concurrent use.
 type PathFilter interface {
-	AcceptsPath(path []string) bool
+	StepPath(from int32, label string) int32
 }
 
 // Options configures the engine.
@@ -159,12 +163,9 @@ type Options struct {
 	// R2 enables the last-tag heuristic (Section 8 R2).
 	R2 bool
 	// R1Filter optionally backs R1 with an external metadata oracle (a
-	// DTD, a DataGuide, a Relax NG schema...); takes precedence over
-	// SourceDTD. Nil falls back to the instance path index.
+	// DTD, a DataGuide, a Relax NG schema — the paper's prototype used
+	// Relax NG). Nil falls back to the instance's realized paths.
 	R1Filter PathFilter
-	// SourceDTD optionally backs R1 with schema metadata instead of the
-	// instance path index (the paper's prototype used Relax NG).
-	SourceDTD *dtd.DTD
 	// MaxEQ bounds equivalence queries per fragment (default 200).
 	MaxEQ int
 	// Graph bounds the data-graph predicate enumeration.
@@ -264,12 +265,17 @@ type SpeculationStats struct {
 	// MirrorAnswers counts dialogue questions (membership and
 	// equivalence) answered from a local mirror instead of the wire.
 	MirrorAnswers int
-	// BatchRounds / BatchedMQ count MemberBatch round trips and the
-	// membership queries shipped in them (the no-mirror wire path).
+	// BatchRounds / BatchedMQ count the learner's query-set round trips
+	// and the membership queries shipped in them. Words in rule R1's
+	// dead region are filled by the learner without shipping (see
+	// angluin.Deducer), so these transport counters count only the words
+	// that reach the teacher's pipeline; the dialogue counters
+	// (FragmentStats) still charge every word.
 	BatchRounds int
 	BatchedMQ   int
 	// Kept / Discarded count speculatively precomputed answers that the
-	// reconcile step committed into the dialogue vs. threw away.
+	// reconcile step committed into the dialogue vs. threw away; dead
+	// cells are never offered for speculation.
 	Kept      int
 	Discarded int
 }

@@ -15,18 +15,21 @@ import (
 
 type node struct {
 	children map[string]*node
+	id       int32 // the node's StepPath state: its index in Guide.nodes
 }
 
 // Guide is a strong DataGuide: the trie of every label path realized in
 // the instance.
 type Guide struct {
 	root  *node
+	nodes []*node // by id; nodes[0] is root
 	paths int
 }
 
 // Build summarizes the document.
 func Build(doc *xmldoc.Document) *Guide {
 	g := &Guide{root: &node{children: map[string]*node{}}}
+	g.nodes = append(g.nodes, g.root)
 	var walk func(n *xmldoc.Node, cur *node)
 	walk = func(n *xmldoc.Node, cur *node) {
 		for _, a := range n.Attrs {
@@ -46,8 +49,9 @@ func Build(doc *xmldoc.Document) *Guide {
 func (g *Guide) step(cur *node, label string) *node {
 	next := cur.children[label]
 	if next == nil {
-		next = &node{children: map[string]*node{}}
+		next = &node{children: map[string]*node{}, id: int32(len(g.nodes))}
 		cur.children[label] = next
+		g.nodes = append(g.nodes, next)
 		g.paths++
 	}
 	return next
@@ -65,6 +69,19 @@ func (g *Guide) AcceptsPath(path []string) bool {
 		}
 	}
 	return true
+}
+
+// StepPath implements core.PathFilter: a path's state is its guide
+// node, 0 the root (the empty path), so stepping a label is one child
+// lookup.
+func (g *Guide) StepPath(from int32, label string) int32 {
+	if from < 0 || int(from) >= len(g.nodes) {
+		return -1
+	}
+	if next := g.nodes[from].children[label]; next != nil {
+		return next.id
+	}
+	return -1
 }
 
 // NumPaths is the number of distinct label paths (the DataGuide's size;

@@ -96,3 +96,41 @@ func TestGuideVsDTDFilter(t *testing.T) {
 	}
 	_ = xq.Env{}
 }
+
+// TestGuideStepPath: stepping a path through the guide label by label
+// agrees with AcceptsPath at every prefix, and a rejected path stays
+// rejected under every extension — the prefix closure rule R1's
+// deduction rests on.
+func TestGuideStepPath(t *testing.T) {
+	for _, tc := range []struct {
+		doc    string
+		labels []string
+	}{
+		{`<a k="1"><b><c/></b><b/></a>`, []string{"a", "b", "c", "@k", "zz"}},
+		{`<r><x><x><x/></x></x><y j="2"/></r>`, []string{"r", "x", "y", "@j", "@k"}},
+		{`<site><regions><asia><item id="i"/></asia></regions></site>`, []string{"site", "regions", "asia", "item", "@id"}},
+	} {
+		g := Build(xmldoc.MustParse(tc.doc))
+		var walk func(path []string, st int32)
+		walk = func(path []string, st int32) {
+			if got, want := st >= 0, g.AcceptsPath(path); got != want {
+				t.Fatalf("%s: StepPath says %v for %v, AcceptsPath %v", tc.doc, got, path, want)
+			}
+			if len(path) == 4 {
+				return
+			}
+			for _, l := range tc.labels {
+				next := int32(-1)
+				if st >= 0 {
+					next = g.StepPath(st, l)
+				}
+				ext := append(path[:len(path):len(path)], l)
+				if st < 0 && g.AcceptsPath(ext) {
+					t.Fatalf("%s: AcceptsPath rejects %v but accepts its extension %v", tc.doc, path, ext)
+				}
+				walk(ext, next)
+			}
+		}
+		walk(nil, 0)
+	}
+}

@@ -141,6 +141,9 @@ type ElementDecl struct {
 	Name    string
 	Content *ContentModel
 	Attrs   []*AttrDecl
+	// ord is the element's position in the DTD's declaration order; its
+	// StepPath state is ord+1.
+	ord int32
 }
 
 // Mixed reports whether the content model allows character data.
@@ -420,6 +423,46 @@ func (d *DTD) AcceptsPath(path []string) bool {
 		cur = next
 	}
 	return true
+}
+
+// StepPath implements core.PathFilter, stepping AcceptsPath's check
+// one label at a time. State 0 is the empty path, state i+1 a path
+// ending at the i-th declared element, and len(declarations)+1 a path
+// ending at an attribute, which has no extensions.
+func (d *DTD) StepPath(from int32, label string) int32 {
+	attrLeaf := int32(len(d.order)) + 1
+	if from == 0 {
+		if label != d.RootName {
+			return -1
+		}
+		return d.elementState(label)
+	}
+	if from < 0 || from >= attrLeaf {
+		return -1
+	}
+	cur := d.Elements[d.order[from-1]]
+	if strings.HasPrefix(label, "@") {
+		if cur.Attr(label[1:]) != nil {
+			return attrLeaf
+		}
+		return -1
+	}
+	if cur.Content == nil || cur.Content.Kind != CMAny {
+		if _, hi := occRange(cur.Content, label); hi == 0 {
+			return -1
+		}
+	}
+	return d.elementState(label)
+}
+
+// elementState returns the StepPath state of the named element, -1
+// when it is undeclared.
+func (d *DTD) elementState(name string) int32 {
+	e := d.Elements[name]
+	if e == nil {
+		return -1
+	}
+	return e.ord + 1
 }
 
 // String renders the DTD back to declaration syntax.

@@ -447,3 +447,10 @@ func TestQuickValidatorAgainstGenerated(t *testing.T) {
 		}
 	}
 }
+
+// TestStepPathAgrees runs the fuzz target's step/closure property on a
+// schema with attributes, ANY content and an undeclared child.
+func TestStepPathAgrees(t *testing.T) {
+	checkStepPath(t, MustParse(`<!ELEMENT a (b, c*, u?)> <!ELEMENT b ANY> <!ELEMENT c EMPTY>
+<!ATTLIST c k CDATA #REQUIRED> <!ATTLIST a id ID #IMPLIED>`))
+}

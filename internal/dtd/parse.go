@@ -39,6 +39,7 @@ func Parse(src string) (*DTD, error) {
 				delete(placeholders, decl.Name)
 				break
 			}
+			decl.ord = int32(len(d.order))
 			d.Elements[decl.Name] = decl
 			d.order = append(d.order, decl.Name)
 			if d.RootName == "" {
@@ -325,7 +326,7 @@ func (p *parser) attlistDecl(d *DTD) error {
 		if el == nil {
 			// Forward ATTLIST: create a placeholder declaration so the
 			// attribute is not lost; content arrives with the ELEMENT decl.
-			el = &ElementDecl{Name: elem, Content: &ContentModel{Kind: CMEmpty}}
+			el = &ElementDecl{Name: elem, Content: &ContentModel{Kind: CMEmpty}, ord: int32(len(d.order))}
 			d.Elements[elem] = el
 			d.order = append(d.order, elem)
 			p.placeholders[elem] = true

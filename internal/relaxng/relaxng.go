@@ -21,7 +21,10 @@ package relaxng
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/must"
 )
@@ -54,6 +57,9 @@ type Schema struct {
 	Start *Pattern
 	// Defs maps definition names to patterns.
 	Defs map[string]*Pattern
+
+	// steps is the path automaton behind StepPath, built lazily.
+	steps stepper
 }
 
 // Parse reads compact syntax.
@@ -347,4 +353,106 @@ func (s *Schema) AcceptsPath(path []string) bool {
 		}
 	}
 	return true
+}
+
+// stepper is a schema's path automaton for StepPath, determinized
+// lazily as paths are stepped. A state is the set of element patterns a
+// path can end on, interned by its members; state 0 is the empty path
+// and state 1 a path ending at an attribute, which has no extensions.
+// Transitions are memoized per (state, label). The mutex makes
+// StepPath safe for concurrent use by the sessions sharing a schema.
+type stepper struct {
+	mu    sync.Mutex
+	sets  [][]*Pattern
+	ids   map[string]int32
+	next  map[stepKey]int32
+	patID map[*Pattern]int
+}
+
+type stepKey struct {
+	from  int32
+	label string
+}
+
+const attrLeafState = 1
+
+// StepPath implements core.PathFilter, stepping AcceptsPath's check
+// one label at a time.
+func (s *Schema) StepPath(from int32, label string) int32 {
+	st := &s.steps
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.sets == nil {
+		st.sets = [][]*Pattern{nil, nil}
+		st.ids = map[string]int32{}
+		st.next = map[stepKey]int32{}
+		st.patID = map[*Pattern]int{}
+	}
+	if from < 0 || int(from) >= len(st.sets) || from == attrLeafState {
+		return -1
+	}
+	k := stepKey{from, label}
+	if to, ok := st.next[k]; ok {
+		return to
+	}
+	to := s.step(st, from, label)
+	st.next[k] = to
+	return to
+}
+
+// step computes one StepPath transition under st's lock.
+func (s *Schema) step(st *stepper, from int32, label string) int32 {
+	level := map[string][]*Pattern{}
+	if from == 0 {
+		if strings.HasPrefix(label, "@") {
+			return -1
+		}
+		s.elementPatterns(s.Start, level, map[string]bool{})
+		return st.intern(level[label])
+	}
+	current := st.sets[from]
+	if name, ok := strings.CutPrefix(label, "@"); ok {
+		for _, el := range current {
+			if s.attributeAllowed(el.Children[0], name, map[string]bool{}) {
+				return attrLeafState
+			}
+		}
+		return -1
+	}
+	for _, el := range current {
+		s.elementPatterns(el.Children[0], level, map[string]bool{})
+	}
+	return st.intern(level[label])
+}
+
+// intern returns the state of a set of element patterns, -1 for the
+// empty set.
+func (st *stepper) intern(set []*Pattern) int32 {
+	if len(set) == 0 {
+		return -1
+	}
+	ids := make([]int, 0, len(set))
+	for _, p := range set {
+		id, ok := st.patID[p]
+		if !ok {
+			id = len(st.patID)
+			st.patID[p] = id
+		}
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	var b strings.Builder
+	for _, id := range ids {
+		b.WriteString(strconv.Itoa(id))
+		b.WriteByte(',')
+	}
+	key := b.String()
+	if to, ok := st.ids[key]; ok {
+		return to
+	}
+	to := int32(len(st.sets))
+	st.sets = append(st.sets, set)
+	st.ids[key] = to
+	return to
 }

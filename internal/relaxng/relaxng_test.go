@@ -163,3 +163,9 @@ func TestAsR1Filter(t *testing.T) {
 		t.Fatal("empty learned query")
 	}
 }
+
+// TestStepPathAgrees runs the fuzz target's step/closure property on
+// the running example's schema.
+func TestStepPathAgrees(t *testing.T) {
+	checkStepPath(t, MustParse(auctionSchema))
+}

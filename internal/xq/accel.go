@@ -311,8 +311,14 @@ func (e *Evaluator) pathNodesIndexed(d *pathre.DFA) []*xmldoc.Node {
 	groups := 0
 	for i := range ix.paths {
 		p := &ix.paths[i]
-		if d.Accepts(p.labels) {
-			out = append(out, p.nodes...)
+		q := d.Start
+		for _, a := range p.Pos {
+			if q = d.Step(q, ix.alphabet[a]); q < 0 {
+				break
+			}
+		}
+		if q >= 0 && d.Accept[q] {
+			out = append(out, p.Nodes...)
 			groups++
 		}
 	}

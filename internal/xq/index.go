@@ -1,8 +1,7 @@
 package xq
 
 import (
-	"sort"
-	"strings"
+	"slices"
 	"sync"
 
 	"repro/internal/pathre"
@@ -34,12 +33,10 @@ type Index struct {
 	// alphabet is the document's sorted label set, captured once so
 	// evaluators built over a shared index skip the per-session copy.
 	alphabet []string
-	// paths is the distinct-root-path table in first-seen (document)
-	// order; pathLookup interns a path as {parent path ID, label
-	// symbol}, replacing the strings.Join root keys of the string-keyed
-	// design.
-	paths      []rootPath
-	pathLookup map[pathEdge]int32
+	// paths is the distinct-root-path table in learner order (see
+	// SortRootPaths), which every learning session over the document
+	// adopts as is.
+	paths []RootPath
 	// cols is the structure-of-arrays document view the compiled
 	// executor walks, built in the same walk as the clocks above. DFAs
 	// step over it by integer label symbol through the evaluator's
@@ -93,13 +90,6 @@ func (ix *Index) dfaFor(key string, p pathre.Expr) *pathre.DFA {
 	return d
 }
 
-// rootPath is one distinct root label path with its nodes in document
-// order.
-type rootPath struct {
-	labels []string
-	nodes  []*xmldoc.Node
-}
-
 // pathEdge extends an interned root path (-1 for the empty path at the
 // document node) by one label symbol.
 type pathEdge struct {
@@ -110,12 +100,21 @@ type pathEdge struct {
 // NewIndex builds the index for doc in one document walk.
 func NewIndex(doc *xmldoc.Document) *Index {
 	ix := &Index{
-		doc:        doc,
-		pre:        make([]int, doc.NumNodes()),
-		post:       make([]int, doc.NumNodes()),
-		byLabel:    make([][]*xmldoc.Node, doc.NumSyms()),
-		alphabet:   doc.Alphabet(),
-		pathLookup: map[pathEdge]int32{},
+		doc:      doc,
+		pre:      make([]int, doc.NumNodes()),
+		post:     make([]int, doc.NumNodes()),
+		byLabel:  make([][]*xmldoc.Node, doc.NumSyms()),
+		alphabet: doc.Alphabet(),
+	}
+	// The walk interns each distinct root path as {parent path ID, label
+	// symbol}, so no root key string is ever joined.
+	lookup := map[pathEdge]int32{}
+	var paths []RootPath
+	pathPos := func(id int32) []int32 {
+		if id < 0 {
+			return nil
+		}
+		return paths[id].Pos
 	}
 	cb := xmldoc.NewColumnsBuilder(doc)
 	clock := 0
@@ -134,16 +133,17 @@ func NewIndex(doc *xmldoc.Document) *Index {
 			}
 			ix.byLabel[sym] = append(ix.byLabel[sym], n)
 			edge := pathEdge{parent: pathID, sym: sym}
-			id, ok := ix.pathLookup[edge]
+			id, ok := lookup[edge]
 			if !ok {
-				id = int32(len(ix.paths))
-				labels := make([]string, 0, len(ix.pathLabels(pathID))+1)
-				labels = append(labels, ix.pathLabels(pathID)...)
-				labels = append(labels, n.Label())
-				ix.paths = append(ix.paths, rootPath{labels: labels})
-				ix.pathLookup[edge] = id
+				id = int32(len(paths))
+				parent := pathPos(pathID)
+				pos := make([]int32, len(parent), len(parent)+1)
+				copy(pos, parent)
+				pos = append(pos, alphabetPos(ix.alphabet, n.Label()))
+				paths = append(paths, RootPath{Pos: pos})
+				lookup[edge] = id
 			}
-			ix.paths[id].nodes = append(ix.paths[id].nodes, n)
+			paths[id].Nodes = append(paths[id].Nodes, n)
 			pathID = id
 		}
 		for _, a := range n.Attrs {
@@ -158,16 +158,14 @@ func NewIndex(doc *xmldoc.Document) *Index {
 	}
 	walk(doc.DocNode(), -1)
 	ix.cols = cb.Finish()
-	return ix
-}
-
-// pathLabels returns the label sequence of an interned path ID (nil for
-// the empty path).
-func (ix *Index) pathLabels(id int32) []string {
-	if id < 0 {
-		return nil
+	for i := range paths {
+		// The full-slice expression keeps a stray append by a reader
+		// from ever writing into the index.
+		paths[i].Nodes = paths[i].Nodes[:len(paths[i].Nodes):len(paths[i].Nodes)]
 	}
-	return ix.paths[id].labels
+	SortRootPaths(paths)
+	ix.paths = paths
+	return ix
 }
 
 // Doc returns the indexed document.
@@ -195,15 +193,6 @@ func (ix *Index) NodesSym(sym int32) []*xmldoc.Node {
 	return ix.byLabel[sym]
 }
 
-// RootPaths calls f for each distinct root label path of the document,
-// in first-seen (document) order, with the path's nodes in document
-// order. Callers must not mutate either slice.
-func (ix *Index) RootPaths(f func(labels []string, nodes []*xmldoc.Node)) {
-	for _, p := range ix.paths {
-		f(p.labels, p.nodes)
-	}
-}
-
 // Columns returns the structure-of-arrays view of the indexed
 // document, built in the same walk as the clocks. Callers must treat it
 // as read-only.
@@ -211,28 +200,71 @@ func (ix *Index) Columns() *xmldoc.Columns { return ix.cols }
 
 // RealizedPathsDFA returns the DFA accepting exactly the document's
 // realized root label paths, built lazily at most once. The words are
-// fed to the construction sorted by their "\x00"-joined keys — the
-// same order the learning engine sorts its path-key table into — so
-// the automaton, state numbering included, is identical to the
-// per-session build it replaces. Safe for concurrent use.
+// fed to the construction in SortedRootPaths order — the order the
+// learning engine's path table is in — so the automaton, state
+// numbering included, is identical to the per-session build it
+// replaces. Safe for concurrent use.
 func (ix *Index) RealizedPathsDFA() *pathre.DFA {
 	ix.realizedOnce.Do(func() {
-		keys := make([]string, len(ix.paths))
-		byKey := make(map[string][]string, len(ix.paths))
+		words := make([][]string, len(ix.paths))
 		for i := range ix.paths {
-			k := strings.Join(ix.paths[i].labels, "\x00")
-			keys[i] = k
-			byKey[k] = ix.paths[i].labels
-		}
-		sort.Strings(keys)
-		words := make([][]string, len(keys))
-		for i, k := range keys {
-			words[i] = byKey[k]
+			words[i] = ix.paths[i].Labels(ix.alphabet)
 		}
 		ix.realized = pathre.FromStrings(words, ix.alphabet)
 	})
 	return ix.realized
 }
+
+// RootPath is one distinct root label path of a document, with the
+// element and attribute nodes at it in document order.
+type RootPath struct {
+	Nodes []*xmldoc.Node
+	// Pos is the path's labels as positions in the document's sorted
+	// alphabet, so an automaton over that alphabet runs the path on its
+	// transition rows alone.
+	Pos []int32
+}
+
+// Labels returns the path's labels, given the alphabet Pos indexes.
+func (p RootPath) Labels(alphabet []string) []string {
+	out := make([]string, len(p.Pos))
+	for i, a := range p.Pos {
+		out[i] = alphabet[a]
+	}
+	return out
+}
+
+// alphabetPos returns label's position in the sorted alphabet, which
+// must hold it.
+func alphabetPos(alphabet []string, label string) int32 {
+	i, _ := slices.BinarySearch(alphabet, label)
+	return int32(i)
+}
+
+// PathPos returns labels as positions in the sorted alphabet, which
+// must hold every label.
+func PathPos(alphabet, labels []string) []int32 {
+	pos := make([]int32, len(labels))
+	for i, l := range labels {
+		pos[i] = alphabetPos(alphabet, l)
+	}
+	return pos
+}
+
+// SortRootPaths sorts paths into learner order: lexicographic by label
+// sequence, which is the order of their "\x00"-joined keys. Positions
+// in a sorted alphabet order as their labels do, so the sort compares
+// Pos alone.
+func SortRootPaths(paths []RootPath) {
+	slices.SortFunc(paths, func(a, b RootPath) int { return slices.Compare(a.Pos, b.Pos) })
+}
+
+// SortedRootPaths returns the document's distinct root paths in learner
+// order (see SortRootPaths), each with its nodes in document order. The
+// table is built with the index, so the sessions sharing the index
+// share it instead of sorting and resolving it each. Callers must not
+// mutate it.
+func (ix *Index) SortedRootPaths() []RootPath { return ix.paths }
 
 // Ancestor reports whether anc is a proper ancestor of n, in O(1) for
 // nodes of the indexed document (falling back to the pointer walk for
