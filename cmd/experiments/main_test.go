@@ -10,7 +10,7 @@ import (
 )
 
 // TestBatchedProtocolSpeedup is the acceptance benchmark for the
-// batched + speculative teacher protocol: with a simulated 5ms
+// batched + mirrored teacher protocol: with a simulated 5ms
 // round-trip teacher, the batched XMark suite must finish at least 3x
 // faster than the serial suite while producing a byte-identical
 // dialogue. The warm-up sweep fills the shared artifact store so both

@@ -56,18 +56,11 @@ type Stats struct {
 	EquivalenceQueries int
 	Counterexamples    int
 	HypothesisStates   int
-	// BatchRounds / BatchedQueries count MemberBatch round trips and
+	// BatchRounds / BatchedQueries count L*'s query-set round trips and
 	// the membership queries shipped in them (zero for single-query
-	// teachers).
+	// teachers, and for KV, which asks every probe on its own).
 	BatchRounds    int
 	BatchedQueries int
-	// Speculated counts frontier cells offered to the teacher's
-	// Speculator while a batch was in flight; SpeculationKept and
-	// SpeculationDiscarded count how the precomputed values reconciled
-	// against the landed answers.
-	Speculated           int
-	SpeculationKept      int
-	SpeculationDiscarded int
 }
 
 // Option configures Learn.
@@ -92,9 +85,9 @@ func WithMaxEquivalenceQueries(n int) Option {
 // target over several Learn calls passes the same Words to each and
 // keeps its ID-indexed answer state valid across them. Without this
 // option the learner interns into a pooled private Words it releases
-// on return; the ID forms of the seam (IDTeacher, IDBatchTeacher,
-// Speculator) need this option, because their IDs mean nothing outside
-// the Words.
+// on return; the ID forms of the seam (IDTeacher, IDBatchTeacher) and a
+// Deducer need this option, because their IDs mean nothing outside the
+// Words.
 func WithWords(w *Words) Option {
 	return func(l *learner) { l.tr = w }
 }
@@ -135,7 +128,6 @@ func newLearner(alphabet []string, t Teacher, opts ...Option) (*learner, error) 
 	l.ids, _ = t.(IDTeacher)
 	l.batch, _ = t.(BatchTeacher)
 	l.bids, _ = t.(IDBatchTeacher)
-	l.spec, _ = t.(Speculator)
 	l.ded, _ = t.(Deducer)
 	for _, o := range opts {
 		o(l)
@@ -145,7 +137,7 @@ func newLearner(alphabet []string, t Teacher, opts ...Option) (*learner, error) 
 
 var (
 	errWordsAlphabet = errors.New("angluin: Words built for a different alphabet")
-	errIDsNeedWords  = errors.New("angluin: an ID teacher, Speculator or Deducer needs WithWords")
+	errIDsNeedWords  = errors.New("angluin: an ID teacher or Deducer needs WithWords")
 	// ErrNotClosed reports a hypothesis requested from an observation
 	// table that is not closed: a one-symbol extension of S whose row no
 	// prefix in S realizes. close() establishes closedness before every
@@ -160,9 +152,8 @@ var (
 func checkWords(w *Words, alphabet []string, t Teacher) error {
 	if w == nil {
 		_, ids := t.(IDTeacher)
-		_, spec := t.(Speculator)
 		_, ded := t.(Deducer)
-		if ids || spec || ded {
+		if ids || ded {
 			return errIDsNeedWords
 		}
 		return nil
@@ -192,11 +183,9 @@ type learner struct {
 	ids IDTeacher
 	// batch/bids are the teacher's batch forms when implemented: the
 	// closedness scan then prefills whole query sets per round trip
-	// (see batch.go) instead of asking cell by cell. spec is the
-	// teacher's speculation hook, offered in-flight cells.
+	// (see batch.go) instead of asking cell by cell.
 	batch BatchTeacher
 	bids  IDBatchTeacher
-	spec  Speculator
 	// ded is the teacher's dead region when it has one (see Deducer):
 	// cells in it are filled No without a node or a question.
 	ded     Deducer

@@ -37,30 +37,10 @@ type BatchTeacher interface {
 // IDBatchTeacher is the ID form of BatchTeacher (see IDTeacher): the
 // learner passes the query set as word IDs only, and the returned slice
 // has one answer per ID, same index. The ids slice is only valid for
-// the duration of the call. The learner never grows its Words while a
-// batch is in flight, so the teacher may read words from it throughout.
+// the duration of the call.
 type IDBatchTeacher interface {
 	IDTeacher
 	MemberBatchIDs(ids []int32) ([]bool, error)
-}
-
-// Speculator is an optional extension of a batch teacher. While a
-// batch is in flight the learner offers the teacher's local side the
-// cells a pending closedness check needs, by word ID in the Words the
-// teacher passed with WithWords (a Speculator needs that option, see
-// IDTeacher); the implementation may precompute an answer from local
-// knowledge only — caches, auto-answer rules, a mirrored truth extent —
-// returning ok=false whenever it cannot promise that the value equals
-// what the committed dialogue will produce. SpeculateMember must be
-// free of dialogue side effects (no counter charges, no cache writes)
-// and safe to call concurrently with an in-flight MemberBatch on the
-// same teacher: the two may read the Words at once, which is safe
-// because nothing grows it until the batch lands, but must not share
-// any other scratch. The learner reconciles every speculated value
-// against the landed answer and counts it kept or discarded
-// (Stats.SpeculationKept/SpeculationDiscarded).
-type Speculator interface {
-	SpeculateMember(id int32) (ans bool, ok bool)
 }
 
 // SerialAdapter adapts any single-query Teacher to the batch seam by
@@ -92,44 +72,17 @@ func (a SerialAdapter) MemberBatch(words [][]string) ([]bool, error) {
 // askWave ships one query set, by word ID, to the batch teacher and
 // commits the answers by index: l.ans[wids[i]] = answers[i], one
 // membership-query charge per word, exactly as the serial learner would
-// have charged asking the same cells one at a time. Without a
-// Speculator the call is synchronous. With one, the call runs on its
-// own goroutine with a buffered result channel — if the teacher aborts
-// on a canceled session the goroutine still completes its send and
-// exits, so cancellation mid-batch leaks nothing — and while the round
-// trip is in flight the calling goroutine offers the same set to the
-// Speculator and reconciles the precomputed values against the landed
-// answers.
+// have charged asking the same cells one at a time.
 func (l *learner) askWave(wids []int32) error {
 	if len(wids) == 0 {
 		return nil
 	}
 	var ans []bool
-	var parked map[int]bool
 	var err error
-	if l.spec == nil {
-		ans, err = l.memberBatch(wids)
+	if l.bids != nil {
+		ans, err = l.bids.MemberBatchIDs(wids)
 	} else {
-		type batchRes struct {
-			ans []bool
-			err error
-		}
-		ch := make(chan batchRes, 1)
-		go func() {
-			a, err := l.memberBatch(wids)
-			ch <- batchRes{a, err}
-		}()
-		for i, wid := range wids {
-			if v, ok := l.spec.SpeculateMember(wid); ok {
-				if parked == nil {
-					parked = make(map[int]bool, len(wids)-i)
-				}
-				parked[i] = v
-				l.stats.Speculated++
-			}
-		}
-		r := <-ch
-		ans, err = r.ans, r.err
+		ans, err = l.batch.MemberBatch(l.waveWords(wids))
 	}
 	if err != nil {
 		return err
@@ -142,26 +95,8 @@ func (l *learner) askWave(wids []int32) error {
 	for i, wid := range wids {
 		l.setAns(wid, ans[i])
 		l.stats.MembershipQueries++
-		if v, ok := parked[i]; ok {
-			if v == ans[i] {
-				l.stats.SpeculationKept++
-			} else {
-				l.stats.SpeculationDiscarded++
-			}
-		}
 	}
 	return nil
-}
-
-// memberBatch makes one batch round trip: by ID when the teacher takes
-// IDs, else with the wave's words materialized into the word scratch.
-// It may run on the wave goroutine next to the Speculator, and touches
-// no learner state the Speculator path does.
-func (l *learner) memberBatch(wids []int32) ([]bool, error) {
-	if l.bids != nil {
-		return l.bids.MemberBatchIDs(wids)
-	}
-	return l.batch.MemberBatch(l.waveWords(wids))
 }
 
 // waveWords materializes a wave's words for a plain BatchTeacher into

@@ -12,8 +12,8 @@ package angluin
 // dead one is dead; a live node asks DeadStep for each child it lacks.
 // A table cell whose word is dead is filled No on the spot: no node is
 // created below the dead step, the cell is neither asked through
-// Member/MemberID nor shipped in a batch wave nor offered to a
-// Speculator, and Stats.MembershipQueries does not count it. Table
+// Member/MemberID nor shipped in a batch wave, and
+// Stats.MembershipQueries does not count it. Table
 // prefixes (the rows of L*'s S ∪ S·Σ and KV's access strings and their
 // one-symbol extensions) still get a node in the dead region, marked
 // dead, because the tables index rows by node.

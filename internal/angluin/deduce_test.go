@@ -97,7 +97,7 @@ func (t deducingTeacher) Deduced(anchor, rest int32) {
 	t.dead = append(t.dead, strings.Join(t.words.AppendDeadWord(nil, anchor, rest), "/"))
 }
 
-// batchRegionTeacher adds the batch and speculation forms.
+// batchRegionTeacher adds the ID batch form.
 type batchRegionTeacher struct{ *regionTeacher }
 
 func (t batchRegionTeacher) MemberBatchIDs(ids []int32) ([]bool, error) {
@@ -110,10 +110,6 @@ func (t batchRegionTeacher) MemberBatchIDs(ids []int32) ([]bool, error) {
 		out[i] = v
 	}
 	return out, nil
-}
-
-func (t batchRegionTeacher) SpeculateMember(id int32) (bool, bool) {
-	return t.target.Accepts(t.words.Word(id)), true
 }
 
 type batchDeducingTeacher struct {
@@ -181,8 +177,8 @@ func runRegion(t *testing.T, target *pathre.DFA, alph []string, kv, batched, ded
 // same hypothesis as one whose teacher is asked every word, ask the
 // teacher exactly the reference's live words in the same order, and
 // report each of the reference's dead words to Deduced exactly once —
-// for L* and KV, serial and batched with a Speculator, and across a
-// restart over a reused Words.
+// for L* and KV, serial and batched, and across a restart over a reused
+// Words.
 func TestDeductionMatchesReference(t *testing.T) {
 	alph := []string{"a", "b", "c"}
 	r := rand.New(rand.NewSource(16))

@@ -32,33 +32,21 @@ type ctNode struct {
 
 func (n *ctNode) isLeaf() bool { return n.yes == nil && n.no == nil }
 
-// kvLearner carries the algorithm state.
+// kvLearner carries the algorithm state. KV's sift chain is adaptive —
+// each probe depends on the previous answer — so unlike L*'s table
+// fills the probes cannot be merged into query sets without reordering
+// the dialogue: KV asks every probe on its own and ignores the
+// teacher's batch forms.
 type kvLearner struct {
 	alphabet []string
 	teacher  Teacher
 	// ids is teacher's IDTeacher form when implemented (see Learn).
 	ids IDTeacher
-	// batch/bids/spec are the teacher's batch-protocol forms (see
-	// batch.go). KV's sift chain is adaptive — each probe depends on the
-	// previous answer — so unlike L*'s table fills the probes cannot be
-	// merged into multi-query sets without reordering the dialogue;
-	// instead each probe ships as a single-query batch and, while it is
-	// in flight, the learner speculatively precomputes both successor
-	// probes (the yes- and no-child suffixes) against the teacher's
-	// local knowledge, reconciling parked values when the probes are
-	// actually asked.
-	batch BatchTeacher
-	bids  IDBatchTeacher
-	spec  Speculator
 	// ded is the teacher's dead region (see Deducer): probes in it are
 	// No without a node or a question.
 	ded Deducer
-	// words interns every probe; cache and parked are keyed by its IDs.
-	words *Words
-	// parked holds speculated successor-probe answers by word ID,
-	// reconciled (kept/discarded) when the probe is asked; leftovers
-	// are discarded when the run ends.
-	parked  map[int32]bool
+	// words interns every probe; cache is keyed by its IDs.
+	words   *Words
 	maxEQ   int
 	initial []string
 	// wb is the word scratch for the plain Teacher form.
@@ -81,9 +69,6 @@ func LearnKV(alphabet []string, t Teacher, opts ...Option) (*pathre.DFA, Stats, 
 		alphabet: l.alphabet,
 		teacher:  t,
 		ids:      l.ids,
-		batch:    l.batch,
-		bids:     l.bids,
-		spec:     l.spec,
 		ded:      l.ded,
 		words:    l.tr,
 		maxEQ:    l.maxEQ,
@@ -94,11 +79,7 @@ func LearnKV(alphabet []string, t Teacher, opts ...Option) (*pathre.DFA, Stats, 
 		k.words = NewWords(nil, k.alphabet)
 		defer k.words.Release()
 	}
-	d, stats, err := k.run()
-	// Speculated values never asked before the run ended were wasted
-	// work: reconcile them as discarded.
-	stats.SpeculationDiscarded += len(k.parked)
-	return d, stats, err
+	return k.run()
 }
 
 // member answers a membership query for word id: No for a word in the
@@ -128,40 +109,28 @@ func (k *kvLearner) ask(id int32) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	k.commit(id, v)
+	k.stats.MembershipQueries++
+	k.cache[id] = v
 	return v, nil
 }
 
-// commit records an answered membership query, charging it and
-// reconciling any parked speculative value against the landed answer.
-func (k *kvLearner) commit(id int32, v bool) {
-	k.stats.MembershipQueries++
-	k.cache[id] = v
-	if pv, ok := k.parked[id]; ok {
-		delete(k.parked, id)
-		if pv == v {
-			k.stats.SpeculationKept++
-		} else {
-			k.stats.SpeculationDiscarded++
-		}
-	}
-}
-
-// probe returns the node of the word id·suffix, or -1 when the word
-// lies in the dead region, reporting it to the Deducer on first sight.
-func (k *kvLearner) probe(id int32, suffix []int32) int32 {
+// probe answers the membership of the word id·suffix: No when the word
+// lies in the dead region, reporting it to the Deducer on first sight,
+// else through member.
+func (k *kvLearner) probe(id int32, suffix []int32) (bool, error) {
 	pid, key := k.words.cell(id, suffix, k.ded)
 	if pid < 0 {
 		k.words.deduce(k.ded, key)
+		return false, nil
 	}
-	return pid
+	return k.member(pid)
 }
 
 // sift walks word wid down the classification tree to its leaf.
 func (k *kvLearner) sift(wid int32) (*ctNode, error) {
 	cur := k.root
 	for !cur.isLeaf() {
-		v, err := k.memberSift(k.probe(wid, cur.suffix), wid, cur)
+		v, err := k.probe(wid, cur.suffix)
 		if err != nil {
 			return nil, err
 		}
@@ -172,88 +141,6 @@ func (k *kvLearner) sift(wid int32) (*ctNode, error) {
 		}
 	}
 	return cur, nil
-}
-
-// memberSift asks one sift probe, word id (-1: a dead probe, No),
-// sifting word wid at cur.
-// With a batch teacher the probe ships as a single-query set on its own
-// goroutine while the calling goroutine speculatively precomputes the
-// two possible successor probes — wid·suffix for whichever child the
-// landed answer selects — and parks values the teacher's local side can
-// promise; parked values are reconciled by commit when (if ever) the
-// successor probe is asked.
-func (k *kvLearner) memberSift(id, wid int32, cur *ctNode) (bool, error) {
-	if id < 0 {
-		return false, nil
-	}
-	if v, ok := k.cache[id]; ok {
-		return v, nil
-	}
-	if (k.batch == nil && k.bids == nil) || k.spec == nil {
-		return k.ask(id)
-	}
-	// Intern the successor probes before the batch flies: the Words
-	// never changes under an in-flight batch. A dead successor needs no
-	// speculation, and is reported to the Deducer only if it is asked.
-	var next [2]int32
-	nn := 0
-	for _, child := range [2]*ctNode{cur.yes, cur.no} {
-		if child == nil || child.isLeaf() {
-			continue
-		}
-		nid, _ := k.words.cell(wid, child.suffix, k.ded)
-		if nid < 0 {
-			continue
-		}
-		if _, ok := k.cache[nid]; ok {
-			continue
-		}
-		if _, ok := k.parked[nid]; ok {
-			continue
-		}
-		next[nn] = nid
-		nn++
-	}
-	type batchRes struct {
-		ans []bool
-		err error
-	}
-	ch := make(chan batchRes, 1)
-	ids := []int32{id}
-	var words [][]string
-	if k.bids == nil {
-		words = [][]string{k.words.Word(id)}
-	}
-	go func() {
-		var a []bool
-		var err error
-		if k.bids != nil {
-			a, err = k.bids.MemberBatchIDs(ids)
-		} else {
-			a, err = k.batch.MemberBatch(words)
-		}
-		ch <- batchRes{a, err}
-	}()
-	for _, nid := range next[:nn] {
-		if v, ok := k.spec.SpeculateMember(nid); ok {
-			if k.parked == nil {
-				k.parked = map[int32]bool{}
-			}
-			k.parked[nid] = v
-			k.stats.Speculated++
-		}
-	}
-	r := <-ch
-	if r.err != nil {
-		return false, r.err
-	}
-	if len(r.ans) != 1 {
-		return false, fmt.Errorf("angluin: batch teacher answered %d of 1 queries", len(r.ans))
-	}
-	k.stats.BatchRounds++
-	k.stats.BatchedQueries++
-	k.commit(id, r.ans[0])
-	return r.ans[0], nil
 }
 
 func (k *kvLearner) run() (*pathre.DFA, Stats, error) {
@@ -433,12 +320,7 @@ func (k *kvLearner) split(leaf *ctNode, newAccess int32, suffix []int32) error {
 	internal.suffix = append([]int32(nil), suffix...)
 	oldLeaf := &ctNode{access: oldAccess, parent: internal}
 	newLeaf := &ctNode{access: newAccess, parent: internal}
-	pid := k.probe(oldAccess, suffix)
-	v := false
-	var err error
-	if pid >= 0 {
-		v, err = k.member(pid)
-	}
+	v, err := k.probe(oldAccess, suffix)
 	if err != nil {
 		return err
 	}

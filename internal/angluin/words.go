@@ -9,7 +9,7 @@ import "sync"
 // the ε root, and the node's int32 ID is the word's one identity from
 // the observation table through the teacher seam: the learner's
 // membership table is an array indexed by ID, and IDTeacher /
-// IDBatchTeacher / Speculator receive only the ID, so a teacher keeping
+// IDBatchTeacher receive only the ID, so a teacher keeping
 // its own answer state indexes it the same way and reads the word back
 // (Depth, LastSym, AppendWord) only when it needs it. No per-word key
 // string is ever built. Under a teacher's dead region (see Deducer)
@@ -22,9 +22,7 @@ import "sync"
 // same Words (WithWords) and keeps its ID-indexed state across them.
 // A Words is not safe for concurrent use while it grows; its read
 // methods (Len, Depth, LastSym, AppendWord, Word) may run on several
-// goroutines at once as long as nothing interns. The learner never
-// grows the Words while a membership batch is in flight, which is what
-// lets a Speculator read it next to the batch goroutine.
+// goroutines at once as long as nothing interns.
 //
 // Child lookup is tiered by how branchy a node actually is:
 //

@@ -192,17 +192,6 @@ func (r idBatchRecorder) MemberBatch([][]string) ([]bool, error) {
 	return nil, errors.New("idBatchRecorder: the learner must prefer MemberBatchIDs")
 }
 
-// declineWords and declineIDs add a Speculator that never promises an
-// answer, so LearnKV ships its sift probes through the batch seam
-// without changing the dialogue.
-type declineWords struct{ wordBatchRecorder }
-
-func (declineWords) SpeculateMember(int32) (bool, bool) { return false, false }
-
-type declineIDs struct{ idBatchRecorder }
-
-func (declineIDs) SpeculateMember(int32) (bool, bool) { return false, false }
-
 // TestIDBatchIDsRoundTrip is the word-ID contract of the teacher seam.
 // It learns one target through the plain word seam and through the ID
 // seam, serially and batched, with L* and with KV, for both child
@@ -216,7 +205,9 @@ func (declineIDs) SpeculateMember(int32) (bool, bool) { return false, false }
 //   - one word always comes with one ID and distinct words with
 //     distinct IDs, and the second Learn on one Words asks the same
 //     words under the same IDs;
-//   - the serial and batched dialogues are identical.
+//   - the serial and batched dialogues are identical; KV asks every
+//     probe alone, through MemberID or Member, even when the teacher
+//     offers the batch forms.
 func TestIDBatchIDsRoundTrip(t *testing.T) {
 	learners := []struct {
 		name  string
@@ -239,10 +230,7 @@ func roundTrip(t *testing.T, name string, learn func([]string, Teacher, ...Optio
 		plain := &wordRecorder{perfectTeacher: perfectTeacher{target}}
 		plainWords := NewWords(nil, alpha)
 		var plainT Teacher = plain
-		switch {
-		case batch && name == "kv":
-			plainT = declineWords{wordBatchRecorder{plain}}
-		case batch:
+		if batch {
 			plainT = wordBatchRecorder{plain}
 		}
 		plainD, plainSt, err := learn(alpha, plainT, WithWords(plainWords))
@@ -255,10 +243,7 @@ func roundTrip(t *testing.T, name string, learn func([]string, Teacher, ...Optio
 		rec := &idRecorder{perfectTeacher: perfectTeacher{target}, t: t, words: words,
 			idOf: map[string]int32{}, wordOf: map[int32]string{}}
 		var teach Teacher = rec
-		switch {
-		case batch && name == "kv":
-			teach = declineIDs{idBatchRecorder{rec}}
-		case batch:
+		if batch {
 			teach = idBatchRecorder{rec}
 		}
 		for run := 0; run < 2; run++ {
@@ -271,8 +256,8 @@ func roundTrip(t *testing.T, name string, learn func([]string, Teacher, ...Optio
 			if run == 1 && len(rec.idOf) != before {
 				t.Errorf("%s: second Learn asked %d new words, want the same words", at, len(rec.idOf)-before)
 			}
-			if batch && st.BatchRounds == 0 {
-				t.Fatalf("%s: batch seam unused", at)
+			if used := st.BatchRounds > 0; used != (batch && name == "lstar") {
+				t.Fatalf("%s: %d batch rounds", at, st.BatchRounds)
 			}
 			if got, want := strings.Join(rec.log, "|"), strings.Join(plain.log, "|"); got != want {
 				t.Fatalf("%s, run %d: ID seam delivered\n%q\nplain seam\n%q", at, run, got, want)
@@ -326,12 +311,12 @@ func TestWordsAlphabetMismatch(t *testing.T) {
 
 // TestIDTeacherNeedsWords: the ID forms of the seam mean nothing
 // without the Words the IDs index, so both learners refuse an ID
-// teacher or a Speculator that did not pass one.
+// teacher or a Deducer that did not pass one.
 func TestIDTeacherNeedsWords(t *testing.T) {
 	target := pathre.Compile(pathre.MustParsePath("/site"), alphabet)
 	for name, teach := range map[string]Teacher{
-		"IDTeacher":  &idRecorder{perfectTeacher: perfectTeacher{target}, t: t},
-		"Speculator": &speculatingTeacher{batchTeacher: batchTeacher{perfectTeacher: perfectTeacher{target}}},
+		"IDTeacher": &idRecorder{perfectTeacher: perfectTeacher{target}, t: t},
+		"Deducer":   deducingTeacher{&regionTeacher{target: target}},
 	} {
 		if _, _, err := Learn(alphabet, teach); !errors.Is(err, errIDsNeedWords) {
 			t.Errorf("Learn with a bare %s: err = %v, want %v", name, err, errIDsNeedWords)

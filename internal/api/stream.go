@@ -54,7 +54,12 @@ type HypothesisV1 struct {
 
 // SpeculationV1 mirrors core.SpeculationStats on the wire: the batched
 // protocol's transport bookkeeping, disjoint from the dialogue counters
-// in StatsV1 (which the protocol reproduces byte-for-byte).
+// in StatsV1 (which the protocol reproduces byte-for-byte). The fragment
+// mirror is the protocol's only speculation: Prefetches and
+// MirrorAnswers count it, and Kept/Discarded are always zero, kept only
+// because V1 fields are frozen. BatchRounds/BatchedMQ count L*'s query
+// sets alone; the KV learner asks every probe on its own, so a KV
+// session reports zero there.
 type SpeculationV1 struct {
 	Prefetches    int `json:"prefetches"`
 	MirrorAnswers int `json:"mirror_answers"`

@@ -1,68 +1,105 @@
 package core_test
 
 import (
-	"fmt"
+	"context"
+	"errors"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/teacher"
+	"repro/internal/xmldoc"
+	"repro/internal/xq"
 )
 
-// TestNoMirrorWirePathMatchesSerial pins the wire half of the batched
-// protocol in isolation: with the prefetch mirror disabled, every
-// membership query rides BatchTeacher.MemberBatch with speculative
-// representative selection and post-landing revalidation (the
-// reconcile path). The dialogue — tree, counters, condition boxes —
-// must still be byte-identical to the serial run's; only the transport
-// counters may differ, and they must show wire rounds with zero
-// prefetches.
-func TestNoMirrorWirePathMatchesSerial(t *testing.T) {
-	serialTree, serialStats, _, doc := runningExample(t, core.DefaultOptions(), teacher.BestCase)
-
-	opts := core.DefaultOptions()
-	opts.Batched = true
-	wireTree, wireStats, _, _ := runningExampleWith(t, opts, teacher.BestCase, core.DisableMirror)
-
-	if got, want := wireTree.String(), serialTree.String(); got != want {
-		t.Errorf("wire-path tree diverged\nwire:\n%s\nserial:\n%s", got, want)
-	}
-	if _, _, eq := resultEqual(doc, wireTree, serialTree); !eq {
-		t.Error("wire-path result differs from serial result")
-	}
-
-	spec := wireStats.Speculation
-	if spec.BatchRounds == 0 || spec.BatchedMQ == 0 {
-		t.Errorf("wire path unused: %+v", spec)
-	}
-	if spec.Prefetches != 0 || spec.MirrorAnswers != 0 {
-		t.Errorf("mirror active despite DisableMirror: %+v", spec)
-	}
-
-	ws, ss := *wireStats, *serialStats
-	ws.Speculation, ss.Speculation = core.SpeculationStats{}, core.SpeculationStats{}
-	if got, want := fmt.Sprintf("%+v", ws), fmt.Sprintf("%+v", ss); got != want {
-		t.Errorf("dialogue counters diverged\nwire:   %s\nserial: %s", got, want)
-	}
+// faultTeacher is a BatchTeacher that answers as the wrapped simulated
+// teacher except where a test injects a fault into one of the three
+// prefetch calls. inFlight counts the prefetch calls that have entered
+// and not yet returned.
+type faultTeacher struct {
+	*teacher.Sim
+	eqFull, box, order error
+	// block makes EquivalentFull cancel the session (cancel) and then
+	// block until its context is done; it returns a little after that,
+	// so a Learn that did not wait for its prefetches would return first.
+	block    bool
+	cancel   context.CancelFunc
+	inFlight atomic.Int32
 }
 
-// TestMirrorAgainstWire: the full protocol (mirror + wire fallback)
-// and the wire-only protocol answer the same dialogue; their split
-// between mirror and wire is the only difference.
-func TestMirrorAgainstWire(t *testing.T) {
+func (f *faultTeacher) EquivalentFull(ctx context.Context, frag core.FragmentRef, pin map[string]*xmldoc.Node, hyp []*xmldoc.Node) ([]*xmldoc.Node, []*xmldoc.Node, core.CEPolicy, error) {
+	f.inFlight.Add(1)
+	defer f.inFlight.Add(-1)
+	if f.block {
+		f.cancel()
+		<-ctx.Done()
+		time.Sleep(20 * time.Millisecond)
+		return nil, nil, 0, ctx.Err()
+	}
+	if f.eqFull != nil {
+		return nil, nil, 0, f.eqFull
+	}
+	return f.Sim.EquivalentFull(ctx, frag, pin, hyp)
+}
+
+func (f *faultTeacher) ConditionBox(ctx context.Context, frag core.FragmentRef, ce *xmldoc.Node) ([]core.BoxEntry, error) {
+	f.inFlight.Add(1)
+	defer f.inFlight.Add(-1)
+	if f.box != nil {
+		return nil, f.box
+	}
+	return f.Sim.ConditionBox(ctx, frag, ce)
+}
+
+func (f *faultTeacher) OrderBy(ctx context.Context, frag core.FragmentRef) ([]xq.SortKey, error) {
+	f.inFlight.Add(1)
+	defer f.inFlight.Add(-1)
+	if f.order != nil {
+		return nil, f.order
+	}
+	return f.Sim.OrderBy(ctx, frag)
+}
+
+// TestPrefetchFailureIsTyped injects faults into the batched protocol's
+// one remaining seam, the per-fragment prefetch. A prefetch call that
+// fails surfaces from Learn as an error matching its sentinel; a
+// prefetch that blocks until the session is canceled makes Learn fail
+// with context.Canceled, and Learn returns only after every prefetch
+// call has returned.
+func TestPrefetchFailureIsTyped(t *testing.T) {
+	sentinel := errors.New("teacher walked away")
 	opts := core.DefaultOptions()
 	opts.Batched = true
-	mirTree, mirStats, _, _ := runningExample(t, opts, teacher.BestCase)
-	wireTree, wireStats, _, _ := runningExampleWith(t, opts, teacher.BestCase, core.DisableMirror)
-
-	if got, want := mirTree.String(), wireTree.String(); got != want {
-		t.Errorf("mirror and wire trees diverged\nmirror:\n%s\nwire:\n%s", got, want)
+	for name, inject := range map[string]func(*faultTeacher){
+		"EquivalentFull": func(f *faultTeacher) { f.eqFull = sentinel },
+		"ConditionBox":   func(f *faultTeacher) { f.box = sentinel },
+		"OrderBy":        func(f *faultTeacher) { f.order = sentinel },
+	} {
+		t.Run(name, func(t *testing.T) {
+			doc, sim, spec := runningExampleTask(teacher.BestCase)
+			ft := &faultTeacher{Sim: sim}
+			inject(ft)
+			_, _, err := core.NewEngine(doc, ft, opts).Learn(context.Background(), spec)
+			if !errors.Is(err, sentinel) {
+				t.Fatalf("Learn err = %v, want %v", err, sentinel)
+			}
+			if n := ft.inFlight.Load(); n != 0 {
+				t.Errorf("Learn returned with %d prefetch calls in flight", n)
+			}
+		})
 	}
-	if mirStats.Speculation.Prefetches == 0 {
-		t.Errorf("mirrored run dispatched no prefetches: %+v", mirStats.Speculation)
-	}
-	ms, ws := *mirStats, *wireStats
-	ms.Speculation, ws.Speculation = core.SpeculationStats{}, core.SpeculationStats{}
-	if got, want := fmt.Sprintf("%+v", ms), fmt.Sprintf("%+v", ws); got != want {
-		t.Errorf("dialogue counters diverged\nmirror: %s\nwire:   %s", got, want)
-	}
+	t.Run("canceled", func(t *testing.T) {
+		doc, sim, spec := runningExampleTask(teacher.BestCase)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		ft := &faultTeacher{Sim: sim, block: true, cancel: cancel}
+		_, _, err := core.NewEngine(doc, ft, opts).Learn(ctx, spec)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Learn err = %v, want %v", err, context.Canceled)
+		}
+		if n := ft.inFlight.Load(); n != 0 {
+			t.Errorf("Learn returned with %d prefetch calls in flight", n)
+		}
+	})
 }

@@ -46,9 +46,8 @@ type Engine struct {
 
 	// Batched-protocol state (see batched.go). batch is the teacher's
 	// batch form, set only when Opts.Batched and the teacher implements
-	// it; noMirror keeps the wire MemberBatch path even then (tests).
-	batch    BatchTeacher
-	noMirror bool
+	// it.
+	batch BatchTeacher
 	// mirMu guards the prefetch tables; the mirrors and stashes they
 	// hold are immutable once their ready channels close.
 	mirMu   sync.Mutex
@@ -61,7 +60,7 @@ type Engine struct {
 	prefWG  sync.WaitGroup
 	prefCtx context.Context
 	// spec counts the protocol's transport bookkeeping. Only the learn
-	// loop (and the batch goroutine it alternates with) writes it.
+	// loop writes it.
 	spec SpeculationStats
 	// obsMu/obsSeq serialize Observe events (see observe.go).
 	obsMu  sync.Mutex
@@ -178,14 +177,14 @@ func (e *Engine) Learn(ctx context.Context, spec *TaskSpec) (*xq.Tree, *Stats, e
 		return nil, nil, err
 	}
 	tree := xq.NewTree(root)
-	// Speculative prefetch: dispatch every fragment context's answer-set
-	// fetch up front so the round trips overlap. Contexts whose pins
-	// change later (alternate-example switches) miss and refetch
-	// synchronously. Learn never returns — success or not — with a
+	// Prefetch: dispatch every fragment context's answer-set fetch up
+	// front so the round trips overlap. Contexts whose pins change later
+	// (alternate-example switches) miss and are fetched at their
+	// fragment start. Learn never returns — success or not — with a
 	// prefetch goroutine still running.
 	e.prefCtx = ctx
 	defer e.prefWG.Wait()
-	if e.batch != nil && !e.noMirror {
+	if e.batch != nil {
 		for _, f := range frags {
 			pin := map[string]*xmldoc.Node{}
 			for a := f.parent; a != nil; a = a.parent {
@@ -431,7 +430,7 @@ func (e *Engine) learnFragment(ctx context.Context, tree *xq.Tree, f *fragment, 
 		strip = 1
 	}
 	pl := newPLearner(ctx, e, f.ref, pinCtx, condCtx, f.example, strip, fs)
-	pl.mirror = e.lookupMirror(f.ref, pinCtx)
+	pl.mirror = e.dispatchPrefetch(f.ref, pinCtx)
 	d, err := pl.run()
 	if err != nil {
 		return err

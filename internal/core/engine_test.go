@@ -131,13 +131,17 @@ func truthQ1() *xq.Tree {
 
 func runningExample(t *testing.T, opts core.Options, pol teacher.Policy) (*xq.Tree, *core.Stats, *teacher.Sim, *xmldoc.Document) {
 	t.Helper()
-	return runningExampleWith(t, opts, pol, nil)
+	doc, sim, spec := runningExampleTask(pol)
+	tree, stats, err := core.NewEngine(doc, sim, opts).Learn(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("Learn: %v", err)
+	}
+	return tree, stats, sim, doc
 }
 
-// runningExampleWith is runningExample with a pre-Learn engine hook for
-// tests that flip unexported engine state (the noMirror wire path).
-func runningExampleWith(t *testing.T, opts core.Options, pol teacher.Policy, mut func(*core.Engine)) (*xq.Tree, *core.Stats, *teacher.Sim, *xmldoc.Document) {
-	t.Helper()
+// runningExampleTask builds the running example's source document, its
+// simulated teacher under the policy, and the task.
+func runningExampleTask(pol teacher.Policy) (*xmldoc.Document, *teacher.Sim, *core.TaskSpec) {
 	doc := xmldoc.MustParse(sourceXML)
 	truth := truthQ1()
 	sim := teacher.New(doc, truth)
@@ -158,10 +162,6 @@ func runningExampleWith(t *testing.T, opts core.Options, pol teacher.Policy, mut
 			Op: xq.OpLt, Const: "300",
 		}},
 	}
-	eng := core.NewEngine(doc, sim, opts)
-	if mut != nil {
-		mut(eng)
-	}
 	spec := &core.TaskSpec{
 		Target: dtd.MustParse(targetDTD),
 		Drops: []core.Drop{
@@ -173,11 +173,7 @@ func runningExampleWith(t *testing.T, opts core.Options, pol teacher.Policy, mut
 				Select: teacher.SelectByText("description", "Best Seller")},
 		},
 	}
-	tree, stats, err := eng.Learn(context.Background(), spec)
-	if err != nil {
-		t.Fatalf("Learn: %v", err)
-	}
-	return tree, stats, sim, doc
+	return doc, sim, spec
 }
 
 // resultEqual compares the evaluated results of two trees on a document.

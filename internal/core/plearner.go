@@ -87,17 +87,14 @@ type pLearner struct {
 	// (prov == provNone: not answered yet). path maps a word ID to its
 	// index in the engine's instance paths, -1 for words no instance
 	// node realizes; it is filled when the instance paths are interned
-	// and never written afterwards, so speculation may read it while a
-	// batch is in flight. All three live between bind and unbind.
+	// and never written afterwards. All three live between bind and
+	// unbind.
 	words *angluin.Words
 	ans   []pans
 	path  []int32
 	sc    *fragScratch
 	// fst memoizes the R1 metadata filter's state per word ID (see
-	// PathFilter; -1 a rejected path, fstUnknown not stepped yet). Only
-	// deadStep writes it, on the learn goroutine and never while a batch
-	// is in flight, so the batch goroutine and the Speculator may read
-	// it at once.
+	// PathFilter; -1 a rejected path, fstUnknown not stepped yet).
 	fst []int32
 	// posWords holds the word IDs of positives[:len(posWords)], filled
 	// as positiveSharesPath needs them.
@@ -200,10 +197,8 @@ func (p *pLearner) answer(id int32) (pans, bool) {
 func (p *pLearner) setAns(id int32, a pans) {
 	if int(id) >= len(p.ans) {
 		// Cover every ID the Words has issued so far in one step. The
-		// learner never grows the Words while a query set is in flight,
-		// so reading its length here is safe on the batch goroutine.
-		// The pooled backing array may hold a previous fragment's
-		// answers past len, so the new range is cleared.
+		// pooled backing array may hold a previous fragment's answers
+		// past len, so the new range is cleared.
 		old, n := len(p.ans), max(int(id)+1, p.words.Len())
 		p.ans = slices.Grow(p.ans, n-old)[:n]
 		clear(p.ans[old:])
@@ -275,31 +270,11 @@ func (p *pLearner) memberID(id int32) (bool, error) {
 // member runs the rule pipeline — cache → R1 → R2 → ask the user about
 // a representative node — without checking the context; callers check
 // it once per query set, so a cancellation aborts the learner at the
-// next query-set boundary.
+// next query-set boundary. The rules decide from the word's trie node,
+// never from the word.
 func (p *pLearner) member(id int32) (bool, error) {
-	ans, final, rep := p.memberLocal(id)
-	if final {
-		return ans, nil
-	}
-	ans, err := p.askMember(rep)
-	if err != nil {
-		return false, fmt.Errorf("core: fragment %s: membership query: %w", p.frag.Var, err)
-	}
-	p.commitAsked(id, rep, ans)
-	return ans, nil
-}
-
-// memberLocal runs the local stages of the membership pipeline for word
-// id: the cache, rules R1/R2, and the no-node dismissal — all of which
-// commit immediately (final=true). Otherwise it selects the
-// representative node the teacher must be asked about under the
-// current dialogue state and returns it uncommitted, so batch
-// transports can ask many representatives per round trip and commit
-// each answer with commitAsked once its representative is revalidated.
-// The rules decide from the word's trie node, never from the word.
-func (p *pLearner) memberLocal(id int32) (ans, final bool, rep *xmldoc.Node) {
 	if a, ok := p.answer(id); ok {
-		return a.ans, true, nil
+		return a.ans, nil
 	}
 	nodes := p.nodesAt(id)
 	r1 := p.r1No(id, nodes)
@@ -311,7 +286,7 @@ func (p *pLearner) memberLocal(id int32) (ans, final bool, rep *xmldoc.Node) {
 			prov = provR2
 		}
 		p.setAns(id, pans{ans: false, prov: prov})
-		return false, true, nil
+		return false, nil
 	}
 	// Ask the user. With no node at this path the user still has to
 	// dismiss the query (counts as an interaction; this is what R1
@@ -319,27 +294,25 @@ func (p *pLearner) memberLocal(id int32) (ans, final bool, rep *xmldoc.Node) {
 	if len(nodes) == 0 {
 		p.stats.MQ++
 		p.setAns(id, pans{ans: false, prov: provAsked})
-		return false, true, nil
+		return false, nil
 	}
-	m := nodes[0]
+	rep := nodes[0]
 	for _, n := range nodes {
 		if p.condsHold(n) {
-			m = n
+			rep = n
 			break
 		}
 	}
-	return false, false, m
-}
-
-// commitAsked commits a teacher-answered membership query into the
-// dialogue: the MQ charge, the cached answer, and the positive-example
-// observation, exactly as the serial pipeline commits them.
-func (p *pLearner) commitAsked(id int32, rep *xmldoc.Node, ans bool) {
+	ans, err := p.askMember(rep)
+	if err != nil {
+		return false, fmt.Errorf("core: fragment %s: membership query: %w", p.frag.Var, err)
+	}
 	p.stats.MQ++
 	p.setAns(id, pans{ans: ans, prov: provAsked})
 	if ans {
 		p.addPositive(rep)
 	}
+	return ans, nil
 }
 
 // chargeReduced charges one word the auto-answer rules answered No,
@@ -372,7 +345,7 @@ func (p *pLearner) deadStep(id, sym int32) bool {
 	if f == nil {
 		return true
 	}
-	st := p.filterState(id, true)
+	st := p.filterState(id)
 	return st < 0 || f.StepPath(st, p.words.Sym(sym)) < 0
 }
 
@@ -380,34 +353,29 @@ func (p *pLearner) deadStep(id, sym int32) bool {
 const fstUnknown = -2
 
 // filterState returns node id's R1 filter state (state 0 is the empty
-// path), stepping it from the nearest memoized ancestor's. The learn
-// goroutine memoizes what it steps (memo); the batch goroutine and the
-// Speculator, which may run at once, only read.
-func (p *pLearner) filterState(id int32, memo bool) int32 {
-	if memo {
-		for len(p.fst) < p.words.Len() {
-			p.fst = append(p.fst, fstUnknown)
-		}
+// path), stepping it from the nearest memoized ancestor's and memoizing
+// what it steps.
+func (p *pLearner) filterState(id int32) int32 {
+	for len(p.fst) < p.words.Len() {
+		p.fst = append(p.fst, fstUnknown)
 	}
-	if int(id) < len(p.fst) && p.fst[id] != fstUnknown {
-		return p.fst[id]
+	if st := p.fst[id]; st != fstUnknown {
+		return st
 	}
 	st := int32(0)
 	if par := p.words.Parent(id); par >= 0 {
-		if st = p.filterState(par, memo); st >= 0 {
+		if st = p.filterState(par); st >= 0 {
 			st = max(p.eng.Opts.R1Filter.StepPath(st, p.words.Sym(p.words.LastSym(id))), -1)
 		}
 	}
-	if memo {
-		p.fst[id] = st
-	}
+	p.fst[id] = st
 	return st
 }
 
 // deduced implements angluin.Deducer: the learner met a word in R1's
 // dead region for the first time and answered it No without asking,
 // so the rule is charged here, once per distinct word, with R2
-// classifying the word by its last label exactly as memberLocal does.
+// classifying the word by its last label exactly as member does.
 func (p *pLearner) deduced(_, rest int32) {
 	p.chargeReduced(true, p.r2Rejects(p.words.RestLastSym(rest)))
 }
@@ -426,7 +394,7 @@ func (p *pLearner) r1No(id int32, nodes []*xmldoc.Node) bool {
 	case p.words.Depth(id) == 0:
 		return true
 	case p.eng.Opts.R1Filter != nil:
-		return p.filterState(id, false) < 0
+		return p.filterState(id) < 0
 	}
 	return len(nodes) == 0
 }
@@ -699,13 +667,7 @@ func (p *pLearner) run() (*pathre.DFA, error) {
 	const maxRestarts = 64
 	p.bind()
 	defer p.unbind()
-	// The Speculator is only worth offering when a batch can actually be
-	// in flight: on the serial protocol speculateMember could never
-	// promise an answer.
-	var t angluin.Teacher = teacherAdapter{p}
-	if p.eng.batch != nil {
-		t = specAdapter{teacherAdapter{p}}
-	}
+	t := teacherAdapter{p}
 	for attempt := 0; ; attempt++ {
 		learn := angluin.Learn
 		if p.eng.Opts.UseKVLearner {
@@ -721,8 +683,6 @@ func (p *pLearner) run() (*pathre.DFA, error) {
 		// callbacks above, not here.
 		p.eng.spec.BatchRounds += stats.BatchRounds
 		p.eng.spec.BatchedMQ += stats.BatchedQueries
-		p.eng.spec.Kept += stats.SpeculationKept
-		p.eng.spec.Discarded += stats.SpeculationDiscarded
 		if err == nil {
 			p.stats.PathStates = stats.HypothesisStates
 			return d, nil
@@ -757,11 +717,3 @@ func (t teacherAdapter) MemberBatchIDs(ids []int32) ([]bool, error) {
 }
 func (t teacherAdapter) DeadStep(id, sym int32) bool { return t.p.deadStep(id, sym) }
 func (t teacherAdapter) Deduced(anchor, rest int32)  { t.p.deduced(anchor, rest) }
-
-// specAdapter adds the Speculator (precompute from immutable local
-// knowledge while a batch flies) under the batched protocol.
-type specAdapter struct{ teacherAdapter }
-
-func (t specAdapter) SpeculateMember(id int32) (bool, bool) {
-	return t.p.speculateMember(id)
-}

@@ -111,32 +111,23 @@ type Teacher interface {
 // BatchTeacher is an optional Teacher extension for slow teachers — a
 // remote endpoint, a human behind a GUI — where per-question round-trip
 // latency, not evaluation, dominates session wall-clock. A teacher that
-// implements it lets the engine ship whole query sets per round trip
-// and mirror the answers locally:
+// implements it lets the engine fetch each fragment's answer set in one
+// round trip and mirror it locally. EquivalentFull is the prefetch form
+// of Equivalent: instead of one counterexample it returns the full
+// symmetric difference of the truth extent against hyp (add = truth −
+// hyp, remove = hyp − truth) plus the teacher's deterministic
+// counterexample policy. The engine reconstructs the truth extent
+// (hyp − remove + add), mirrors it, and answers every subsequent
+// membership and equivalence question for the fragment locally —
+// selecting counterexamples with PickCounterexample(pol, ...) at the
+// same dialogue points a serial teacher would answer, so interaction
+// counts and experiment tables stay byte-identical to the serial
+// protocol.
 //
-//   - MemberBatch answers one membership query per candidate node in a
-//     single round trip; answers[i] corresponds to nodes[i], so answer
-//     handling is order-independent by construction (commitment is by
-//     index, never by arrival order).
-//   - EquivalentFull is the speculative form of Equivalent: instead of
-//     one counterexample it returns the full symmetric difference of
-//     the truth extent against hyp (add = truth − hyp, remove = hyp −
-//     truth) plus the teacher's deterministic counterexample policy.
-//     The engine reconstructs the truth extent (hyp − remove + add),
-//     mirrors it, and replays every subsequent membership and
-//     equivalence question for the fragment locally — selecting
-//     counterexamples with PickCounterexample(pol, ...) at the same
-//     dialogue points a serial teacher would answer, so interaction
-//     counts and experiment tables stay byte-identical to the serial
-//     protocol.
-//
-// The engine only uses these methods when the batched protocol is
-// enabled (WithBatchedProtocol); serial sessions never call them.
+// The engine only uses EquivalentFull when the batched protocol is
+// enabled (WithBatchedProtocol); serial sessions never call it.
 type BatchTeacher interface {
 	Teacher
-	// MemberBatch answers membership for every candidate in one round
-	// trip; the returned slice has one answer per node, same index.
-	MemberBatch(ctx context.Context, frag FragmentRef, pin map[string]*xmldoc.Node, nodes []*xmldoc.Node) ([]bool, error)
 	// EquivalentFull returns the full symmetric difference of the truth
 	// extent against hyp, plus the counterexample-selection policy the
 	// teacher would apply serially. hyp may be nil (then add is the
@@ -201,11 +192,10 @@ type Options struct {
 	// of concurrent sessions; nil gives the engine a private table
 	// shared across its own fragments.
 	SharedSymbols *angluin.SymbolTable
-	// Batched enables the batch-first, speculative teacher protocol
-	// when the teacher implements BatchTeacher: fragment answer sets are
+	// Batched enables the batched, mirrored teacher protocol when the
+	// teacher implements BatchTeacher: fragment answer sets are
 	// prefetched concurrently at session start and the dialogue is
-	// replayed against local mirrors, collapsing per-question round
-	// trips. The dialogue itself — queries, counterexamples, counters —
+	// answered from local mirrors, collapsing per-question round trips. The dialogue itself — queries, counterexamples, counters —
 	// is byte-identical to the serial protocol; only who answers (the
 	// mirror instead of the wire) changes. Ignored when the teacher has
 	// no batch interface.
@@ -252,30 +242,31 @@ type FragmentStats struct {
 }
 
 // SpeculationStats counts the batched-protocol bookkeeping of one
-// session: wire round trips saved and speculative work reconciled. All
-// zero for serial sessions. Deliberately not part of FragmentStats or
-// Totals — the experiment tables measure the paper's dialogue, which
-// the batched protocol reproduces byte-for-byte; these counters measure
-// the transport on top of it.
+// session: the prefetches and the answers the fragment mirrors gave in
+// place of wire round trips, both zero for serial sessions. Deliberately
+// not part of FragmentStats or Totals — the experiment tables measure
+// the paper's dialogue, which the batched protocol reproduces
+// byte-for-byte; these counters measure the transport on top of it.
 type SpeculationStats struct {
-	// Prefetches counts speculative answer-set round trips dispatched
-	// at session start (one EquivalentFull + ConditionBox + OrderBy
-	// group per fragment context).
+	// Prefetches counts answer-set round trips dispatched per fragment
+	// context (one EquivalentFull + ConditionBox + OrderBy group for a
+	// variable's first context, EquivalentFull alone after it).
 	Prefetches int
 	// MirrorAnswers counts dialogue questions (membership and
 	// equivalence) answered from a local mirror instead of the wire.
 	MirrorAnswers int
-	// BatchRounds / BatchedMQ count the learner's query-set round trips
-	// and the membership queries shipped in them. Words in rule R1's
+	// BatchRounds / BatchedMQ count the L* learner's query sets and the
+	// membership queries in them; the KV learner asks every probe on
+	// its own and adds nothing. Words in rule R1's
 	// dead region are filled by the learner without shipping (see
 	// angluin.Deducer), so these transport counters count only the words
 	// that reach the teacher's pipeline; the dialogue counters
 	// (FragmentStats) still charge every word.
 	BatchRounds int
 	BatchedMQ   int
-	// Kept / Discarded count speculatively precomputed answers that the
-	// reconcile step committed into the dialogue vs. threw away; dead
-	// cells are never offered for speculation.
+	// Kept / Discarded are always zero: the fragment mirror is the
+	// protocol's only speculation and it has nothing to reconcile. The
+	// fields stay because api.SpeculationV1 carries them on the wire.
 	Kept      int
 	Discarded int
 }

@@ -16,7 +16,7 @@ import (
 func statsFingerprint(s *core.Stats) string { return fmt.Sprintf("%+v", *s) }
 
 // TestBatchedMatchesSerial is the batched-protocol correctness
-// property: for every benchmark scenario, the batched + speculative
+// property: for every benchmark scenario, the batched + mirrored
 // protocol must produce the same learned query, the same verification
 // outcome, and byte-identical interaction counters as the serial
 // protocol — only the transport (who answers: mirror or wire) may
@@ -62,8 +62,8 @@ func TestBatchedMatchesSerial(t *testing.T) {
 }
 
 // TestBatchedMatchesSerialKV runs the same property under the
-// Kearns-Vazirani learner, whose adaptive sift chain exercises the
-// single-query speculative path instead of L*'s multi-query waves.
+// Kearns-Vazirani learner, whose adaptive sift chain asks every probe
+// on its own instead of in L*'s multi-query waves.
 func TestBatchedMatchesSerialKV(t *testing.T) {
 	for _, s := range XMPScenarios() {
 		s := s

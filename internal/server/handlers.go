@@ -147,7 +147,7 @@ func (s *Server) handleLearn(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, sess)
 }
 
-// handleLearnStream starts a learn over the batched + speculative
+// handleLearnStream starts a learn over the batched + mirrored
 // teacher protocol and streams its dialogue live as chunked NDJSON:
 // one api.FrameV1 per line — mq_batch / mq_answers / hypothesis frames
 // while the session learns, then exactly one terminal done frame

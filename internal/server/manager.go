@@ -68,7 +68,7 @@ type session struct {
 	result *scenario.Result
 	err    error
 	// batched records that the last learn ran over the batched +
-	// speculative teacher protocol (the streaming endpoint's mode), so
+	// mirrored teacher protocol (the streaming endpoint's mode), so
 	// the session snapshot can surface its transport counters.
 	batched bool
 }
@@ -279,7 +279,7 @@ func (m *manager) StartLearn(id string) (api.SessionV1, error) {
 const streamBuffer = 64
 
 // StartLearnStream admits the session like StartLearn, but runs the
-// learn over the batched + speculative teacher protocol with a
+// learn over the batched + mirrored teacher protocol with a
 // protocol observer attached, and couples the learn's lifetime to the
 // stream's context: protocol events arrive in emit order on the
 // returned channel, which closes only after the terminal state (done

@@ -170,8 +170,9 @@ func (s *Sim) Member(ctx context.Context, frag core.FragmentRef, pin map[string]
 	return false, nil
 }
 
-// MemberBatch implements core.BatchTeacher: one round trip (one
-// latency sleep) answers membership for every candidate. Answers are
+// MemberBatch answers membership for every candidate in one round trip
+// (one latency sleep). The engine never calls it: the batched protocol
+// answers membership from its fragment mirror (see core.BatchTeacher). Answers are
 // indexed by candidate — nodes[i] is answered by the i-th element —
 // so callers commit by index, never by arrival order. Large batches
 // fan the membership scan out over the shared bounded worker pool.
