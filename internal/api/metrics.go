@@ -70,7 +70,10 @@ type CacheCounterV1 struct {
 // (schema version 3) report the compiled plan/execute layer: plan
 // compilations vs reuses and executor arena reuse. Compile (schema
 // version 5) reports the plan compiler's scratch arena: carves served
-// from the current chunk vs fresh chunk allocations.
+// from the current chunk vs fresh chunk allocations. Value always
+// reads zero: node values are a column of the evaluator's shared index,
+// with no per-evaluator memo left to count; the field keeps the wire
+// shape.
 type CacheStatsV1 struct {
 	Path    CacheCounterV1 `json:"path"`
 	Simple  CacheCounterV1 `json:"simple"`

@@ -123,8 +123,6 @@ func (e *Evaluator) SetAcceleration(on bool) {
 	if !on {
 		e.pathCache = nil
 		e.simpleCache = nil
-		e.valueCache = nil
-		e.valueSet = nil
 		e.relayIdx = nil
 		e.extents = nil
 		e.extentCount = 0
@@ -136,11 +134,12 @@ func (e *Evaluator) SetAcceleration(on bool) {
 	}
 }
 
-// InvalidateExtents drops every memoized extent and detaches the shared
-// extent store. Callers that mutate a query tree previously passed to
-// Extent — changing a node's Where, Path, or OrderBy — must invalidate
-// before the next Extent call; extents are the only cache that reads
-// mutable query state, so nothing else needs flushing. Detaching the
+// InvalidateExtents drops every memoized extent and compiled plan and
+// detaches the shared extent store. Callers that mutate a query tree
+// previously passed to Extent, Result, or Assignments — changing a
+// node's Where, Path, or OrderBy — must invalidate before the next such
+// call; extents and plans are the only caches that read mutable query
+// state, so nothing else needs flushing. Detaching the
 // shared store (rather than flushing it) keeps the cross-session
 // invariant: shared artifacts are immutable after publish, and an
 // evaluator that mutates its trees simply stops publishing.
@@ -264,38 +263,17 @@ func (e *Evaluator) simplePath(start *xmldoc.Node, p SimplePath) []*xmldoc.Node 
 	return out
 }
 
-// nodeValue is NodeValue with memoization indexed by node ID (the
-// atomized value of an immutable node never changes; element Text()
-// concatenation and float parsing are the hot part). The cache is a
-// dense array: node IDs run [0, NumNodes), so a slice probe replaces
-// the map hash of the string-keyed design.
+// nodeValue is NodeValue read from the index's node-value column:
+// every node's value is computed once per document, when the index is
+// built, so an evaluator atomizes nothing itself.
 func (e *Evaluator) nodeValue(n *xmldoc.Node) Value {
 	if !e.accel || n.Document() != e.Doc {
 		return NodeValue(n)
 	}
-	if e.valueCache == nil {
-		e.valueCache = make([]Value, e.Doc.NumNodes())
-		e.valueSet = make([]bool, e.Doc.NumNodes())
+	if ix := e.Index(); n.ID < ix.cols.Len() {
+		return ix.value(n)
 	}
-	if n.ID >= len(e.valueCache) {
-		return NodeValue(n)
-	}
-	if e.valueSet[n.ID] {
-		e.stats.Value.Hits++
-		return e.valueCache[n.ID]
-	}
-	e.stats.Value.Misses++
-	var v Value
-	if e.idx != nil && e.idx.cols != nil && n.ID < e.idx.cols.Len() {
-		// Columnar fast path: the span table already holds the node's
-		// concatenated text, so atomization skips Text()'s assembly walk.
-		v = nodeValueOf(n, e.idx.cols.Text(n.ID))
-	} else {
-		v = NodeValue(n)
-	}
-	e.valueCache[n.ID] = v
-	e.valueSet[n.ID] = true
-	return v
+	return NodeValue(n)
 }
 
 // pathNodesIndexed evaluates a document-rooted binding path through the

@@ -4,6 +4,7 @@ package xq
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -54,8 +55,8 @@ func TestExtentHotPathAllocs(t *testing.T) {
 
 // TestCompiledExecAllocs pins the compiled executor's steady state: a
 // warm plan run must complete entirely inside the arena — candidates
-// stream from the path caches, operand values from the dense value
-// cache, bindings and output through the reused scratch — with zero
+// stream from the path caches, operand values from the index's value
+// column, bindings and output through the reused scratch — with zero
 // heap allocations. This is the budget the ablation table's >=2x
 // allocation reduction rests on; any object born here multiplies by
 // every membership query of every dialogue.
@@ -68,8 +69,8 @@ func TestCompiledExecAllocs(t *testing.T) {
 	}
 	ev := NewEvaluator(doc)
 	ctx := context.Background()
-	// First Extent compiles the plan and warms the path/value caches and
-	// the arena; afterwards the raw executor must be allocation-free.
+	// First Extent compiles the plan and warms the path caches and the
+	// arena; afterwards the raw executor must be allocation-free.
 	if _, err := ev.Extent(ctx, tree, n, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -115,5 +116,57 @@ func TestSharedExtentHitAllocs(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Errorf("shared-extent hit allocates %.1f objects per call, want <= 1", allocs)
+	}
+}
+
+// TestParseNumberRejectsWithoutAllocating: strings ParseFloat would
+// reject — ordinary text, digit-led dates and text — are answered by
+// the byte-class pre-filter, without the *NumError a rejection
+// allocates. Every node of a document is atomized once per index.
+func TestParseNumberRejectsWithoutAllocating(t *testing.T) {
+	for _, s := range []string{"Cash", "07/05/2000", "12 apples", "n/a"} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, ok := parseNumber(s); ok {
+				t.Fatalf("parseNumber(%q) accepted", s)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("parseNumber(%q) allocates %.1f objects, want 0", s, allocs)
+		}
+	}
+}
+
+// TestTreePlanApproxBytes pins the artifact store's charge for a cached
+// plan set to what the set keeps alive: build many plan sets of one
+// tree, hold them, and compare the heap they retain per set with
+// ApproxBytes. The compile-arena chunks the plans alias count at their
+// full capacity, so an estimate of the carved entries alone falls
+// short.
+func TestTreePlanApproxBytes(t *testing.T) {
+	doc, _ := allocDoc()
+	ix := NewIndex(doc)
+	tree := MustParseQuery(`for $e in /site/regions/europe return <r>{` +
+		`for $i in $e/item where data($i/payment) = "Cash" and not(empty(data($i/name))) ` +
+		`return <i>{for $n in $i/name where data($n) = "x" return $n}</i>}</r>`)
+	NewTreePlan(ix, tree) // compile the DFAs into the index, which every plan set shares
+	const sets = 256
+	keep := make([]*TreePlan, sets)
+	var before, after runtime.MemStats
+	// Two collections each: the first only moves pooled scratch to the
+	// pools' victim caches.
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		keep[i] = NewTreePlan(ix, tree)
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	retained := int(after.HeapAlloc-before.HeapAlloc) / sets
+	est := keep[0].ApproxBytes()
+	runtime.KeepAlive(keep)
+	if 4*est < 3*retained || 4*est > 5*retained {
+		t.Errorf("ApproxBytes = %d, plan set retains %d bytes: want within 25%%", est, retained)
 	}
 }

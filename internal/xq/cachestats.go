@@ -31,7 +31,9 @@ type CacheStats struct {
 	Path CacheCounter
 	// Simple counts EvalSimplePath memo lookups.
 	Simple CacheCounter
-	// Value counts node-atomization memo lookups.
+	// Value always reads zero: node values are a column of the shared
+	// Index (index.go), so there is no per-evaluator memo to count. The
+	// field stays for the frozen wire shape (api.CacheStatsV1).
 	Value CacheCounter
 	// Extent counts extent memo lookups (per query node + pinned env).
 	Extent CacheCounter

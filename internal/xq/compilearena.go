@@ -1,5 +1,7 @@
 package xq
 
+import "unsafe"
+
 // The compile arena: reusable scratch chunks the plan compiler carves
 // levelPlan/predPlan/atomPlan slices (and constant Value cells) from,
 // instead of allocating one fresh slice per chain level, predicate, and
@@ -25,16 +27,35 @@ package xq
 // already alias it. Chunks are never grown with append — growth would
 // move the backing array out from under earlier carves.
 
-// compileChunk is the chunk capacity, in entries, of each carver. 256
-// covers the deepest chains and widest predicate lists the benchmark
-// suites compile while keeping a retired chunk's waste small.
-const compileChunk = 256
+// Chunk capacities, in entries, grow geometrically per carver: the
+// first chunk holds compileChunkMin entries and each fresh one doubles
+// its predecessor up to compileChunkMax (a carve larger than that gets
+// a chunk of its own size). A tree of a few nodes — the shape of every
+// TreePlan the artifact store caches — then keeps a few KB of chunk
+// alive rather than four 256-entry chunks (about 125 KB), while an
+// evaluator compiling hypotheses all session soon carves from
+// full-size chunks.
+const (
+	compileChunkMin = 8
+	compileChunkMax = 256
+)
+
+// nextChunk returns the capacity of the chunk that replaces one of
+// capacity prev for a carve of n entries.
+func nextChunk(prev, n int) int {
+	c := min(max(2*prev, compileChunkMin), compileChunkMax)
+	return max(c, n)
+}
 
 type compileArena struct {
 	levels []levelPlan
 	preds  []predPlan
 	atoms  []atomPlan
 	vals   []Value
+	// bytes sums the capacity, in bytes, of every chunk the arena has
+	// opened. An arena that is never reset — NewTreePlan's — keeps every
+	// one of them alive through its plans (TreePlan.ApproxBytes).
+	bytes int
 }
 
 // reset truncates every carver to the start of its current chunk,
@@ -61,11 +82,9 @@ func (e *Evaluator) carveLevels(n int) []levelPlan {
 	}
 	a := &e.comp
 	if len(a.levels)+n > cap(a.levels) {
-		c := compileChunk
-		if n > c {
-			c = n
-		}
+		c := nextChunk(cap(a.levels), n)
 		a.levels = make([]levelPlan, 0, c)
+		a.bytes += c * int(unsafe.Sizeof(levelPlan{}))
 		e.stats.Compile.Misses++
 	} else {
 		e.stats.Compile.Hits++
@@ -84,11 +103,9 @@ func (e *Evaluator) carvePreds(n int) []predPlan {
 	}
 	a := &e.comp
 	if len(a.preds)+n > cap(a.preds) {
-		c := compileChunk
-		if n > c {
-			c = n
-		}
+		c := nextChunk(cap(a.preds), n)
 		a.preds = make([]predPlan, 0, c)
+		a.bytes += c * int(unsafe.Sizeof(predPlan{}))
 		e.stats.Compile.Misses++
 	} else {
 		e.stats.Compile.Hits++
@@ -107,11 +124,9 @@ func (e *Evaluator) carveAtoms(n int) []atomPlan {
 	}
 	a := &e.comp
 	if len(a.atoms)+n > cap(a.atoms) {
-		c := compileChunk
-		if n > c {
-			c = n
-		}
+		c := nextChunk(cap(a.atoms), n)
 		a.atoms = make([]atomPlan, 0, c)
+		a.bytes += c * int(unsafe.Sizeof(atomPlan{}))
 		e.stats.Compile.Misses++
 	} else {
 		e.stats.Compile.Hits++
@@ -128,7 +143,9 @@ func (e *Evaluator) carveAtoms(n int) []atomPlan {
 func (e *Evaluator) carveVal(v Value) []Value {
 	a := &e.comp
 	if len(a.vals)+1 > cap(a.vals) {
-		a.vals = make([]Value, 0, compileChunk)
+		c := nextChunk(cap(a.vals), 1)
+		a.vals = make([]Value, 0, c)
+		a.bytes += c * int(unsafe.Sizeof(Value{}))
 		e.stats.Compile.Misses++
 	} else {
 		e.stats.Compile.Hits++

@@ -32,36 +32,58 @@ type Value struct {
 // NodeValue converts a node to its atomized value (data() semantics:
 // the concatenated text; numeric when it parses as a number).
 func NodeValue(n *xmldoc.Node) Value {
-	return nodeValueOf(n, n.Text())
+	s := strings.TrimSpace(n.Text())
+	f, ok := parseNumber(s)
+	return Value{Node: n, Str: s, Num: f, IsNum: ok}
 }
 
-// nodeValueOf atomizes a node given its raw text — shared between
-// NodeValue and the columnar fast path, which reads the text from the
-// index's span table instead of assembling it.
-func nodeValueOf(n *xmldoc.Node, text string) Value {
-	s := strings.TrimSpace(text)
-	if numericPrefix(s) {
-		if f, err := strconv.ParseFloat(s, 64); err == nil {
-			return Value{Node: n, Str: s, Num: f, IsNum: true}
-		}
+// parseNumber parses s as a float64 when ParseFloat accepts it. A
+// byte-class pre-filter answers exactly for the strings ParseFloat
+// would reject — ordinary text and digit-led dates such as
+// "07/05/2000" — so atomizing them skips the *NumError each rejection
+// allocates.
+func parseNumber(s string) (float64, bool) {
+	if !maybeFloat(s) {
+		return 0, false
 	}
-	return Value{Node: n, Str: s}
+	f, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		// ParseFloat returns ±Inf with a range error; a non-number's
+		// Num must stay 0 (sum and avg read Num unconditionally).
+		return 0, false
+	}
+	return f, true
 }
 
-// numericPrefix reports whether s could possibly parse as a float —
-// ParseFloat accepts only strings starting with a digit, sign, point,
-// or an inf/nan spelling. Filtering first keeps ordinary text values
-// from paying ParseFloat's allocated syntax error on every atomization.
-func numericPrefix(s string) bool {
+// floatBytes marks every byte ParseFloat's syntax can contain: digits,
+// signs, the point, underscores, hex digits and the x/p of hex floats,
+// and the letters of inf, infinity and nan in either case.
+var floatBytes = func() (t [256]bool) {
+	for _, c := range []byte("0123456789+-._abcdefABCDEFxXpPiInNtTyY") {
+		t[c] = true
+	}
+	return t
+}()
+
+// maybeFloat reports whether s could parse as a float: ParseFloat
+// accepts only strings that start with a digit, sign, point, or an
+// inf/nan spelling and that hold no byte outside floatBytes.
+func maybeFloat(s string) bool {
 	if s == "" {
 		return false
 	}
 	switch s[0] {
 	case '0', '1', '2', '3', '4', '5', '6', '7', '8', '9', '+', '-', '.',
-		'i', 'I', 'n', 'N': // inf/nan spellings
-		return true
+		'i', 'I', 'n', 'N':
+	default:
+		return false
 	}
-	return false
+	for i := 1; i < len(s); i++ {
+		if !floatBytes[s[i]] {
+			return false
+		}
+	}
+	return true
 }
 
 // NumValue returns a numeric value.
@@ -71,10 +93,8 @@ func NumValue(f float64) Value {
 
 // StrValue returns a string value (numeric if it parses).
 func StrValue(s string) Value {
-	if f, err := strconv.ParseFloat(s, 64); err == nil {
-		return Value{Str: s, Num: f, IsNum: true}
-	}
-	return Value{Str: s}
+	f, ok := parseNumber(s)
+	return Value{Str: s, Num: f, IsNum: ok}
 }
 
 // Env is a variable assignment.
@@ -157,8 +177,6 @@ type Evaluator struct {
 	idx         *Index
 	pathCache   map[pathCacheKey][]*xmldoc.Node
 	simpleCache map[simpleCacheKey][]*xmldoc.Node
-	valueCache  []Value
-	valueSet    []bool
 	relayIdx    map[relayKey]map[string][]*xmldoc.Node
 	extents     map[*Node]map[string][]*xmldoc.Node
 	extentCount int
@@ -537,6 +555,24 @@ func (e *Evaluator) bindingsInto(dst []*xmldoc.Node, n *Node, sc *scope, pinned 
 	return dst
 }
 
+// bindingsOf lists the bindings of n's variable under sc, filtered by
+// n's where predicates and ordered by its sort keys: through n's
+// compiled plan when there is one, by the interpreted enumeration
+// otherwise. The returned slice aliases dst.
+func (e *Evaluator) bindingsOf(dst []*xmldoc.Node, n *Node, sc *scope) []*xmldoc.Node {
+	if e.accel && e.compile {
+		if p := e.planFor(n); p != nil {
+			if out, ok := e.planBindings(dst, p, sc); ok {
+				if len(n.OrderBy) > 0 {
+					e.sortByKeys(out[len(dst):], n.OrderBy)
+				}
+				return out
+			}
+		}
+	}
+	return e.bindingsInto(dst, n, sc, nil)
+}
+
 // sortByKeys stably reorders nodes in place by the sort keys.
 func (e *Evaluator) sortByKeys(nodes []*xmldoc.Node, keys []SortKey) {
 	type row struct {
@@ -749,7 +785,7 @@ func (e *Evaluator) Assignments(ctx context.Context, t *Tree, n *Node) ([]Env, e
 				return nil, err
 			}
 			bp := getScratch()
-			bs := e.bindingsInto((*bp)[:0], node, sc, nil)
+			bs := e.bindingsOf((*bp)[:0], node, sc)
 			for _, b := range bs {
 				next = append(next, sc.with(node.Var, b))
 			}
@@ -794,7 +830,7 @@ func (e *Evaluator) buildInto(ctx context.Context, out *xmldoc.Document, parent 
 		return e.emitRet(ctx, out, parent, n.Ret, sc)
 	}
 	bp := getScratch()
-	bs := e.bindingsInto((*bp)[:0], n, sc, nil)
+	bs := e.bindingsOf((*bp)[:0], n, sc)
 	for _, b := range bs {
 		if err := e.emitRet(ctx, out, parent, n.Ret, sc.with(n.Var, b)); err != nil {
 			*bp = bs[:0]
@@ -825,20 +861,22 @@ func (e *Evaluator) emitRet(ctx context.Context, out *xmldoc.Document, parent *x
 		}
 	case RVar:
 		if n := sc.lookup(t.Name); n != nil {
-			out.ImportSubtree(parent, n)
+			return emitNode(out, parent, n)
 		}
 	case RPath:
 		if start := sc.lookup(t.Var); start != nil {
 			for _, n := range EvalSimplePath(start, t.Path) {
-				out.ImportSubtree(parent, n)
+				if err := emitNode(out, parent, n); err != nil {
+					return err
+				}
 			}
 		}
 	case RChild:
 		return e.buildInto(ctx, out, parent, t.Node, sc)
 	case RText:
-		out.CreateText(parent, t.Value)
+		return emitText(out, parent, t.Value)
 	case RNum:
-		out.CreateText(parent, formatNum(t.Value))
+		return emitText(out, parent, formatNum(t.Value))
 	case RFunc, RBin:
 		vals, err := e.evalSeq(r, sc)
 		if err != nil {
@@ -846,14 +884,38 @@ func (e *Evaluator) emitRet(ctx context.Context, out *xmldoc.Document, parent *x
 		}
 		for _, v := range vals {
 			if v.Node != nil && !v.IsNum {
-				out.ImportSubtree(parent, v.Node)
+				err = emitNode(out, parent, v.Node)
 			} else {
-				out.CreateText(parent, v.Str)
+				err = emitText(out, parent, v.Str)
+			}
+			if err != nil {
+				return err
 			}
 		}
 	default:
 		return fmt.Errorf("xq: unknown return expression %T", r)
 	}
+	return nil
+}
+
+// emitText appends text under parent. The result's document node holds
+// elements only, so text at the top level — an atomic query such as
+// "0", or a bound attribute returned bare — is an error.
+func emitText(out *xmldoc.Document, parent *xmldoc.Node, s string) error {
+	if parent.Kind == xmldoc.DocumentNode {
+		return fmt.Errorf("xq: result text %q outside any element", s)
+	}
+	out.CreateText(parent, s)
+	return nil
+}
+
+// emitNode copies a source node under parent: an element with its
+// subtree, an attribute or text node as its text.
+func emitNode(out *xmldoc.Document, parent, n *xmldoc.Node) error {
+	if n.Kind == xmldoc.AttributeNode || n.Kind == xmldoc.TextNode {
+		return emitText(out, parent, n.Value)
+	}
+	out.ImportSubtree(parent, n)
 	return nil
 }
 
@@ -870,7 +932,7 @@ func (e *Evaluator) evalSeq(r RetExpr, sc *scope) ([]Value, error) {
 		return nil, nil
 	case RVar:
 		if n := sc.lookup(t.Name); n != nil {
-			return []Value{NodeValue(n)}, nil
+			return []Value{e.nodeValue(n)}, nil
 		}
 		return nil, nil
 	case RPath:
@@ -880,7 +942,7 @@ func (e *Evaluator) evalSeq(r RetExpr, sc *scope) ([]Value, error) {
 		}
 		var out []Value
 		for _, n := range EvalSimplePath(start, t.Path) {
-			out = append(out, NodeValue(n))
+			out = append(out, e.nodeValue(n))
 		}
 		return out, nil
 	case RText:
@@ -951,7 +1013,7 @@ func (e *Evaluator) childSeq(n *Node, sc *scope) ([]Value, error) {
 	}
 	var out []Value
 	bp := getScratch()
-	bs := e.bindingsInto((*bp)[:0], n, sc, nil)
+	bs := e.bindingsOf((*bp)[:0], n, sc)
 	for _, b := range bs {
 		vs, err := e.evalSeq(n.Ret, sc.with(n.Var, b))
 		if err != nil {

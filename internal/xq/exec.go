@@ -16,7 +16,7 @@ import (
 // slice aliasing out, and Extent copies it at the boundary, so no
 // arena memory ever escapes the evaluator. Steady state performs zero
 // heap allocations: candidates stream out of the path caches, values
-// out of the dense value cache, and the arena absorbs everything
+// out of the index's value column, and the arena absorbs everything
 // per-row.
 type execArena struct {
 	env    []*xmldoc.Node
@@ -31,13 +31,7 @@ func (e *Evaluator) execExtent(ctx context.Context, p *nodePlan, pinned Env) ([]
 		return nil, err
 	}
 	envCap, outCap, keyCap := cap(e.exe.env), cap(e.exe.out), cap(e.exe.keyBuf)
-	if need := p.relaySlot + 1; cap(e.exe.env) < need {
-		e.exe.env = make([]*xmldoc.Node, need)
-	}
-	e.exe.env = e.exe.env[:p.relaySlot+1]
-	for i := range e.exe.env {
-		e.exe.env[i] = nil
-	}
+	e.resetEnv(p)
 	e.exe.out = e.exe.out[:0]
 	if !p.dead {
 		seen := e.beginExtentSeen()
@@ -68,26 +62,13 @@ func (e *Evaluator) execLevel(ctx context.Context, p *nodePlan, i int, pinned En
 		return nil
 	}
 	lv := &p.levels[i]
-	var cands []*xmldoc.Node
-	if lv.fromSlot < 0 {
-		cands = lv.rooted
-	} else {
-		cands = e.planPathNodes(e.exe.env[lv.fromSlot], lv)
-	}
 	pin, pinOK := pinned[lv.varName]
-	for _, c := range cands {
+	for _, c := range e.levelCands(lv) {
 		if pinOK && c != pin {
 			continue
 		}
 		e.exe.env[i] = c
-		ok := true
-		for k := range lv.preds {
-			if !e.planPredHolds(&lv.preds[k]) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+		if !e.levelPredsHold(lv) {
 			continue
 		}
 		if err := e.execLevel(ctx, p, i+1, pinned, seen); err != nil {
@@ -95,6 +76,71 @@ func (e *Evaluator) execLevel(ctx context.Context, p *nodePlan, i int, pinned En
 		}
 	}
 	return nil
+}
+
+// planBindings lists the bindings of a query node's own variable under
+// the ancestor bindings in sc, through the node's compiled plan: the
+// plan's last level d enumerates them, with the ancestor bindings in
+// slots 0..d-1 and the relay variable at slot d+1, exactly as
+// execExtent's innermost level would. Order by is the caller's. ok is
+// false when sc is not exactly the plan's ancestor chain (or the plan
+// is dead); the caller then enumerates interpreted, which resolves
+// names through the scope itself.
+func (e *Evaluator) planBindings(dst []*xmldoc.Node, p *nodePlan, sc *scope) (out []*xmldoc.Node, ok bool) {
+	if p.dead {
+		return dst, false
+	}
+	d := len(p.levels) - 1
+	e.resetEnv(p)
+	f := sc
+	for j := d - 1; j >= 0; j-- {
+		if f == nil || f.name != p.levels[j].varName {
+			return dst, false
+		}
+		e.exe.env[j] = f.node
+		f = f.up
+	}
+	if f != nil {
+		return dst, false
+	}
+	lv := &p.levels[d]
+	for _, c := range e.levelCands(lv) {
+		e.exe.env[d] = c
+		if e.levelPredsHold(lv) {
+			dst = append(dst, c)
+		}
+	}
+	return dst, true
+}
+
+// resetEnv sizes the slot environment for p and clears it.
+func (e *Evaluator) resetEnv(p *nodePlan) {
+	if need := p.relaySlot + 1; cap(e.exe.env) < need {
+		e.exe.env = make([]*xmldoc.Node, need)
+	}
+	e.exe.env = e.exe.env[:p.relaySlot+1]
+	clear(e.exe.env)
+}
+
+// levelCands returns a level's candidate bindings under the current
+// slot environment: the compile-time root candidates, or the level's
+// path from the binding it starts at.
+func (e *Evaluator) levelCands(lv *levelPlan) []*xmldoc.Node {
+	if lv.fromSlot < 0 {
+		return lv.rooted
+	}
+	return e.planPathNodes(e.exe.env[lv.fromSlot], lv)
+}
+
+// levelPredsHold reports whether the candidate in the level's slot
+// passes every predicate of the level.
+func (e *Evaluator) levelPredsHold(lv *levelPlan) bool {
+	for k := range lv.preds {
+		if !e.planPredHolds(&lv.preds[k]) {
+			return false
+		}
+	}
+	return true
 }
 
 // planPathNodes is PathNodes for a compiled relative-path level: same

@@ -1,0 +1,7 @@
+package xq
+
+import "repro/internal/xmldoc"
+
+// IndexValue reads n's entry of the index's node-value column, for the
+// external tests that check it against NodeValue on generated instances.
+func IndexValue(ix *Index, n *xmldoc.Node) Value { return ix.value(n) }

@@ -31,15 +31,21 @@ func FuzzParseQuery(f *testing.F) {
 	})
 }
 
-// fuzzDoc is the fixed document FuzzCompiledExtent evaluates against:
-// small enough to bound per-input work, varied enough (attributes,
-// text, repeated labels, join keys) to reach paths, predicates, and
-// relay joins.
+// fuzzDoc is the fixed document the differential fuzz targets evaluate
+// against: small enough to bound per-input work, varied enough
+// (attributes, text, repeated labels, join keys) to reach paths,
+// predicates, and relay joins. Its edge values sit on the boundary of
+// number atomization: padded digits, exponent and special-value
+// spellings, a signed zero, a digit-led date, and digit-led text.
 var fuzzDoc = xmldoc.MustParse(`<r><items>` +
 	`<item key="k1"><price>10</price><tag>t</tag></item>` +
 	`<item key="k2"><price>20</price><tag>u</tag></item>` +
 	`<item key="k3"><price>30</price></item>` +
-	`</items><ppl><p><pid>k1</pid></p><p><pid>k3</pid></p></ppl></r>`)
+	`<item key=" 7 "><price> 7 </price><tag>1e3</tag></item>` +
+	`<item key="nan"><price>nan</price><tag>Inf</tag></item>` +
+	`<item key="-0"><price>-0</price><tag>07/05/2000</tag></item>` +
+	`<item key="k4"><price>12 apples</price><tag>1e3</tag></item>` +
+	`</items><ppl><p><pid>k1</pid></p><p><pid>k3</pid></p><p><pid>-0</pid></p></ppl></r>`)
 
 // FuzzCompiledExtent: every query the parser accepts must produce
 // node-for-node identical extents under the naive interpreter and the
@@ -99,6 +105,48 @@ func FuzzCompiledExtent(f *testing.F) {
 					t.Fatalf("pinned extent($%s) of %q: compiled %d nodes != naive %d", n.Var, src, len(got), len(want))
 				}
 			}
+		}
+	})
+}
+
+// FuzzCompiledResult: every query the parser accepts must serialize to
+// the same result under the naive interpreter and the default
+// evaluator, whose binding enumeration runs on compiled plans — the
+// differential oracle for result construction (order by, aggregates,
+// nested returns, relay joins) and for the node-value column the
+// default evaluator atomizes from.
+func FuzzCompiledResult(f *testing.F) {
+	for _, seed := range []string{
+		`for $i in /r/items/item order by $i/price return <o>$i/price</o>`,
+		`for $i in /r/items/item order by $i/tag descending, $i/price return <o>$i/tag</o>`,
+		`<n>count({for $i in /r/items/item where data($i/price) > 15 return $i})</n>`,
+		`<s>sum({for $i in /r//price return $i})</s>`,
+		`<m>min({for $i in /r/items/item/tag return $i})</m>`,
+		`for $i in /r/items return <o>{for $j in $i/item order by $j/price descending return <p>{for $k in $j/tag return $k}</p>}</o>`,
+		`for $i in /r/items/item where some $w in document()/r/ppl/p satisfies (data($w/pid) = data($i/@key)) return <o>$i/price</o>`,
+		`for $i in /r/items/item where data($i/price) >= 7 return <v>(data($i/price) * 2)</v>`,
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		tree, err := ParseQuery(src)
+		if err != nil {
+			return
+		}
+		// Bound the nested-loop depth so the naive oracle stays cheap.
+		if len(tree.Nodes()) > 8 {
+			return
+		}
+		naive := NewEvaluator(fuzzDoc)
+		naive.SetAcceleration(false)
+		ctx := context.Background()
+		want, werr := tree.XQueryResultString(ctx, naive)
+		got, gerr := tree.XQueryResultString(ctx, NewEvaluator(fuzzDoc))
+		if (werr != nil) != (gerr != nil) {
+			t.Fatalf("result of %q: naive err=%v, compiled err=%v", src, werr, gerr)
+		}
+		if got != want {
+			t.Fatalf("result of %q:\ncompiled %s\nnaive    %s", src, got, want)
 		}
 	})
 }

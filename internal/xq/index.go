@@ -2,6 +2,7 @@ package xq
 
 import (
 	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/pathre"
@@ -42,6 +43,13 @@ type Index struct {
 	// step over it by integer label symbol through the evaluator's
 	// per-DFA symbol rows (dfaSymRow), with no string lookup.
 	cols *xmldoc.Columns
+	// nums and numeric are the node-value column: a node's atomized
+	// number and, one bit per node ID, whether its trimmed text parses
+	// as one. The string half of a value is the trimmed cols.Text span,
+	// so the column holds no pointers and evaluators adopting the index
+	// atomize nothing (see value).
+	nums    []float64
+	numeric []uint64
 
 	// dfaMu guards the shared compiled-DFA cache. Every evaluator
 	// adopting this index keeps its own L1 map (no lock on its hot path)
@@ -158,6 +166,14 @@ func NewIndex(doc *xmldoc.Document) *Index {
 	}
 	walk(doc.DocNode(), -1)
 	ix.cols = cb.Finish()
+	ix.nums = make([]float64, ix.cols.Len())
+	ix.numeric = make([]uint64, (ix.cols.Len()+63)/64)
+	for id := range ix.nums {
+		if f, ok := parseNumber(strings.TrimSpace(ix.cols.Text(id))); ok {
+			ix.nums[id] = f
+			ix.numeric[id/64] |= 1 << (id % 64)
+		}
+	}
 	for i := range paths {
 		// The full-slice expression keeps a stray append by a reader
 		// from ever writing into the index.
@@ -166,6 +182,16 @@ func NewIndex(doc *xmldoc.Document) *Index {
 	SortRootPaths(paths)
 	ix.paths = paths
 	return ix
+}
+
+// value returns n's atomized value from the node-value column: equal
+// to NodeValue(n) for every node the index was built over.
+func (ix *Index) value(n *xmldoc.Node) Value {
+	v := Value{Node: n, Str: strings.TrimSpace(ix.cols.Text(n.ID))}
+	if ix.numeric[n.ID/64]&(1<<(n.ID%64)) != 0 {
+		v.Num, v.IsNum = ix.nums[n.ID], true
+	}
+	return v
 }
 
 // Doc returns the indexed document.

@@ -1,6 +1,8 @@
 package xq
 
 import (
+	"unsafe"
+
 	"repro/internal/pathre"
 	"repro/internal/xmldoc"
 )
@@ -279,28 +281,37 @@ func NewTreePlan(ix *Index, t *Tree) *TreePlan {
 		}
 		if p := ev.compileExtent(n); p != nil {
 			tp.nodes[n] = p
-			tp.bytes += planBytes(p)
 		}
 	}
+	tp.bytes = planSetBytes(tp.nodes, ev.comp.bytes)
 	return tp
 }
 
 // NumPlans returns the number of compiled query nodes.
 func (tp *TreePlan) NumPlans() int { return len(tp.nodes) }
 
-// ApproxBytes estimates the plan set's memory footprint, for the
+// ApproxBytes estimates the memory the plan set keeps alive, for the
 // artifact store's byte budget.
 func (tp *TreePlan) ApproxBytes() int { return 256 + tp.bytes }
 
-// planBytes is a coarse per-plan size estimate: struct overhead per
-// level/predicate/atom plus the resolved root candidates.
-func planBytes(p *nodePlan) int {
-	b := 64
-	for i := range p.levels {
-		lv := &p.levels[i]
-		b += 160 + 8*len(lv.rooted) + len(lv.exprStr)
-		for j := range lv.preds {
-			b += 128 + 96*len(lv.preds[j].atoms)
+// planSetBytes is what a set of plans keeps alive: the compile-arena
+// chunks they alias (arenaBytes), whole, since any carve pins its
+// chunk; each nodePlan and its map entry; and per level the rendered
+// binding expression and the resolved root candidates — counted once
+// per slice, as plans sharing an ancestor share its candidates through
+// the compiling evaluator's path cache.
+func planSetBytes(plans map[*Node]*nodePlan, arenaBytes int) int {
+	b := arenaBytes
+	rooted := map[**xmldoc.Node]bool{}
+	for _, p := range plans {
+		b += int(unsafe.Sizeof(nodePlan{})) + 32
+		for i := range p.levels {
+			lv := &p.levels[i]
+			b += len(lv.exprStr)
+			if cap(lv.rooted) > 0 && !rooted[&lv.rooted[:1][0]] {
+				rooted[&lv.rooted[:1][0]] = true
+				b += cap(lv.rooted) * int(unsafe.Sizeof(lv.rooted[0]))
+			}
 		}
 	}
 	return b

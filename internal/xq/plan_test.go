@@ -149,6 +149,37 @@ func TestPlanCacheCounters(t *testing.T) {
 	}
 }
 
+// TestResultRunsOnCompiledPlans: result construction lists bindings
+// through compiled plans — each bound variable compiles once, with no
+// Extent call in between — and serializes exactly as the naive
+// interpreter; with plan compilation off nothing compiles.
+func TestResultRunsOnCompiledPlans(t *testing.T) {
+	doc := planDoc()
+	tree := MustParseQuery(`for $i in /r/items/item ` +
+		`where some $w in document()/r/ppl/p satisfies (data($w/pid) = data($i/@key)) ` +
+		`order by $i/price descending ` +
+		`return <o>{for $j in $i/price where data($j) > 20 return $j}</o>`)
+	ctx := context.Background()
+	naive := NewEvaluator(doc)
+	naive.SetAcceleration(false)
+	want := must.Must(tree.XQueryResultString(ctx, naive))
+	comp := NewEvaluator(doc)
+	if got := must.Must(tree.XQueryResultString(ctx, comp)); got != want {
+		t.Fatalf("compiled result:\n%s\nnaive:\n%s", got, want)
+	}
+	if st := comp.CacheStats().Plan; st.Misses != 2 || st.Hits == 0 {
+		t.Fatalf("Plan = %+v, want 2 compiles and reuse across $i's bindings", st)
+	}
+	off := NewEvaluator(doc)
+	off.SetPlanCompilation(false)
+	if got := must.Must(tree.XQueryResultString(ctx, off)); got != want {
+		t.Fatalf("plan-off result:\n%s\nnaive:\n%s", got, want)
+	}
+	if st := off.CacheStats().Plan; st.Hits+st.Misses != 0 {
+		t.Fatalf("compilation off: Plan = %+v, want untouched", st)
+	}
+}
+
 // TestTreePlanSharedAcrossEvaluators: a bundle-style shared plan set is
 // adopted (hit on first use, no local compile), ignored for foreign
 // documents, and produces identical extents.

@@ -1,17 +1,23 @@
 // Property test for the acceleration layers: on every scenario truth
-// tree, three evaluation modes must be node-for-node identical — the
-// naive interpreter (acceleration off), the memoized interpreter
-// (acceleration on, plan compilation off: the PR-3 layer), and the
-// compiled plan/execute path (the default) — including repeated calls
-// (memo hits) and pinned environments (distinct cache keys). External
-// test package because xmark/xmp pull in core, which imports xq.
+// tree and golden learned tree, three evaluation modes must be
+// node-for-node identical — the naive interpreter (acceleration off),
+// the memoized interpreter (acceleration on, plan compilation off), and
+// the compiled plan/execute path (the default) — in extents, including
+// repeated calls (memo hits) and pinned environments (distinct cache
+// keys), and in full results and binding assignments. External test
+// package because xmark/xmp pull in core, which imports xq.
 package xq_test
 
 import (
 	"context"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/scenario"
+	"repro/internal/ucr"
 	"repro/internal/xmark"
 	"repro/internal/xmldoc"
 	"repro/internal/xmp"
@@ -85,15 +91,122 @@ func checkExtents(t *testing.T, doc *xmldoc.Document, tree *xq.Tree, naive, memo
 	}
 }
 
+// checkResults compares the three evaluators' full results: the
+// serialized query result, and the ancestor-chain Assignments of every
+// node, twice each so the second round runs on warm caches and plans.
+func checkResults(t *testing.T, tree *xq.Tree, naive, memo, comp *xq.Evaluator) {
+	t.Helper()
+	ctx := context.Background()
+	want, err := tree.XQueryResultString(ctx, naive)
+	if err != nil {
+		t.Fatalf("naive Result: %v", err)
+	}
+	nodes := tree.Nodes()
+	wantEnvs := make([][]xq.Env, len(nodes))
+	for i, n := range nodes {
+		if wantEnvs[i], err = naive.Assignments(ctx, tree, n); err != nil {
+			t.Fatalf("naive Assignments(%s): %v", n.Name(), err)
+		}
+	}
+	for _, m := range []struct {
+		mode string
+		ev   *xq.Evaluator
+	}{{"memoized", memo}, {"compiled", comp}} {
+		for round := 0; round < 2; round++ {
+			got, err := tree.XQueryResultString(ctx, m.ev)
+			if err != nil {
+				t.Fatalf("%s Result round %d: %v", m.mode, round, err)
+			}
+			if got != want {
+				t.Errorf("%s Result round %d differs from naive:\n%s\n--- naive ---\n%s", m.mode, round, got, want)
+			}
+			for i, n := range nodes {
+				got, err := m.ev.Assignments(ctx, tree, n)
+				if err != nil {
+					t.Fatalf("%s Assignments(%s) round %d: %v", m.mode, n.Name(), round, err)
+				}
+				if !sameEnvs(wantEnvs[i], got) {
+					t.Errorf("%s Assignments(%s) round %d: %d envs differ from naive's %d",
+						m.mode, n.Name(), round, len(got), len(wantEnvs[i]))
+				}
+			}
+		}
+	}
+}
+
+// sameEnvs compares two assignment lists entry by entry, in order.
+func sameEnvs(a, b []xq.Env) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for k, v := range a[i] {
+			if b[i][k] != v {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// goldenRef matches a child reference "{N1.2}" in a golden fragment.
+var goldenRef = regexp.MustCompile(`\{(N[0-9.]+)\}`)
+
+// goldenTree loads the golden learned tree of scenario id
+// (internal/experiments/testdata/golden, one "Ni:- fragment" line per
+// node), nests the fragments into one query, and parses it. The parse
+// must render back to the golden lines, so the tree under test is the
+// learned one.
+func goldenTree(t *testing.T, id string) *xq.Tree {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "experiments", "testdata", "golden", id+".txt"))
+	if err != nil {
+		t.Fatalf("golden tree: %v", err)
+	}
+	frags := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		name, frag, _ := strings.Cut(line, ":- ")
+		frags[name] = frag
+	}
+	var nest func(name string) string
+	nest = func(name string) string {
+		return goldenRef.ReplaceAllStringFunc(strings.TrimPrefix(frags[name], "return "), func(ref string) string {
+			return "{" + nest(ref[1:len(ref)-1]) + "}"
+		})
+	}
+	tree, err := xq.ParseQuery(nest("N1"))
+	if err != nil {
+		t.Fatalf("golden tree %s: %v", id, err)
+	}
+	if got := tree.String(); got != string(data) {
+		t.Fatalf("golden tree %s does not round-trip:\n%s--- golden ---\n%s", id, got, data)
+	}
+	return tree
+}
+
+// checkLegs runs the extent and result comparisons on one tree, each
+// with fresh evaluators.
+func checkLegs(t *testing.T, doc *xmldoc.Document, tree *xq.Tree) {
+	t.Helper()
+	naive, memo, comp := threeWay(doc)
+	checkExtents(t, doc, tree, naive, memo, comp)
+	naive, memo, comp = threeWay(doc)
+	checkResults(t, tree, naive, memo, comp)
+}
+
 func TestAcceleratedExtentMatchesNaive(t *testing.T) {
 	var scens []*scenario.Scenario
 	scens = append(scens, xmark.Scenarios()...)
 	scens = append(scens, xmp.Scenarios()...)
+	scens = append(scens, ucr.Scenarios()...)
 	for _, s := range scens {
 		t.Run(s.ID, func(t *testing.T) {
 			doc := s.Doc()
-			naive, memo, comp := threeWay(doc)
-			checkExtents(t, doc, s.Truth(), naive, memo, comp)
+			checkLegs(t, doc, s.Truth())
+			checkLegs(t, doc, goldenTree(t, s.ID))
 		})
 	}
 }
@@ -117,10 +230,42 @@ func TestAcceleratedExtentMatchesNaiveReseeded(t *testing.T) {
 	}
 }
 
+// largeXMark generates the XMark instance of the given seed with every
+// size knob multiplied by four — the scale of the benchmark's new-document
+// workload.
+func largeXMark(seed int64) *xmldoc.Document {
+	cfg := xmark.DefaultConfig()
+	cfg.Seed = seed
+	cfg.Categories *= 4
+	cfg.ItemsPerRegion *= 4
+	cfg.People *= 4
+	cfg.OpenAuctions *= 4
+	cfg.ClosedAuctions *= 4
+	return xmark.Generate(cfg)
+}
+
+// TestLegsMatchOnLargeInstance runs the full three-way comparison —
+// extents, results, assignments — of every XMark truth and golden
+// learned tree on a 4x instance, where candidate sets pass the
+// join-index threshold and order-by keys repeat.
+func TestLegsMatchOnLargeInstance(t *testing.T) {
+	if testing.Short() {
+		t.Skip("4x instance")
+	}
+	doc := largeXMark(100)
+	for _, s := range xmark.Scenarios() {
+		t.Run(s.ID, func(t *testing.T) {
+			checkLegs(t, doc, s.Truth())
+			checkLegs(t, doc, goldenTree(t, s.ID))
+		})
+	}
+}
+
 // TestThreeWayExtentInvalidation extends the PR-3 invalidation contract
 // to compiled plans: mutate a truth tree's predicates, invalidate all
-// three modes, and require agreement again — the compiled path must
-// recompile, not serve the plan it baked the old predicate into.
+// three modes, and require agreement again, in extents and in results —
+// the compiled path must recompile, not serve the plan it baked the old
+// predicate into.
 func TestThreeWayExtentInvalidation(t *testing.T) {
 	var scens []*scenario.Scenario
 	scens = append(scens, xmark.Scenarios()...)
@@ -142,17 +287,20 @@ func TestThreeWayExtentInvalidation(t *testing.T) {
 			naive, memo, comp := threeWay(doc)
 			// Warm every cache on the original tree first.
 			checkExtents(t, doc, tree, naive, memo, comp)
+			checkResults(t, tree, naive, memo, comp)
 			saved := target.Where
 			target.Where = nil
 			naive.InvalidateExtents()
 			memo.InvalidateExtents()
 			comp.InvalidateExtents()
 			checkExtents(t, doc, tree, naive, memo, comp)
+			checkResults(t, tree, naive, memo, comp)
 			target.Where = saved
 			naive.InvalidateExtents()
 			memo.InvalidateExtents()
 			comp.InvalidateExtents()
 			checkExtents(t, doc, tree, naive, memo, comp)
+			checkResults(t, tree, naive, memo, comp)
 		})
 	}
 }

@@ -1,7 +1,9 @@
 package xq
 
 import (
+	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -130,5 +132,36 @@ func TestQuickOperandStringStable(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestQuickParseNumberMatchesParseFloat: the byte-class pre-filter is
+// exact — parseNumber agrees with strconv.ParseFloat on every string,
+// with a rejected string's Num left at 0.
+func TestQuickParseNumberMatchesParseFloat(t *testing.T) {
+	const alphabet = "0123456789+-._eExXpPaAbBfFiInNtTyY /:,gl"
+	check := func(s string) bool {
+		f, ok := parseNumber(s)
+		want, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			return !ok && f == 0
+		}
+		return ok && (f == want || (math.IsNaN(f) && math.IsNaN(want)))
+	}
+	for _, s := range []string{"", "7", " 7 ", "1e3", "nan", "NaN", "Inf", "-Inf", "+infinity", "-0",
+		"07/05/2000", "12 apples", "0x1p-2", "0x1_0p0", "1_000", "1e999", ".", "+.5", "abc", "infinity!"} {
+		if !check(s) {
+			t.Errorf("parseNumber(%q) disagrees with ParseFloat", s)
+		}
+	}
+	f := func(data []byte) bool {
+		b := make([]byte, len(data)%9)
+		for i := range b {
+			b[i] = alphabet[int(data[i])%len(alphabet)]
+		}
+		return check(string(b))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000, Rand: rand.New(rand.NewSource(1))}); err != nil {
+		t.Error(err)
 	}
 }
