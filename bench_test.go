@@ -227,9 +227,10 @@ func BenchmarkXMarkGenerate(b *testing.B) {
 
 func BenchmarkDataGraphBuild(b *testing.B) {
 	doc := xmark.Generate(xmark.DefaultConfig())
+	ix := xq.NewIndex(doc)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g := datagraph.New(doc, datagraph.DefaultConfig())
+		g := datagraph.New(datagraph.NewBuckets(ix), datagraph.DefaultConfig())
 		if g.VEdgeCount() == 0 {
 			b.Fatal("no v-equality edges")
 		}
@@ -238,7 +239,7 @@ func BenchmarkDataGraphBuild(b *testing.B) {
 
 func BenchmarkDataGraphCond(b *testing.B) {
 	doc := xmark.Generate(xmark.DefaultConfig())
-	g := datagraph.New(doc, datagraph.DefaultConfig())
+	g := datagraph.New(datagraph.NewBuckets(xq.NewIndex(doc)), datagraph.DefaultConfig())
 	it := doc.NodesWithLabel("item")[0]
 	c := doc.NodesWithLabel("category")[0]
 	ctx := map[string]*xmldoc.Node{"c": c}

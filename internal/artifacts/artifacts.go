@@ -1,7 +1,7 @@
 // Package artifacts is a concurrency-safe store for the immutable
 // artifacts a learning session needs before its first interaction: the
-// parsed source document, its evaluator index, the parsed ground-truth
-// query, and the teacher's pinned-extent memo. Sessions created from
+// parsed source document, its evaluator index and data graph, the parsed
+// ground-truth query, and the teacher's pinned-extent memo. Sessions created from
 // the same spec — identical source, target schema, and truth query —
 // resolve to the same store entry, so N concurrent sessions pay for one
 // parse, one index build, and one set of truth extents instead of N.
@@ -21,6 +21,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/xmldoc"
 	"repro/internal/xq"
 )
 
@@ -46,13 +47,17 @@ type Store struct {
 	misses    atomic.Uint64
 	evictions atomic.Uint64
 
-	// indexes memoizes one evaluator index per live document, keyed by
-	// identity: benchmark suites hand the same immutable instance to
-	// every scenario, so bundles built for different keys still share
-	// one index build.
-	indexes     sync.Map // *xmldoc.Document → *indexOnce, see IndexFor
+	// docs memoizes one evaluator index and one data graph per live
+	// document, keyed by identity: benchmark suites hand the same
+	// immutable instance to every scenario, so bundles built for
+	// different keys still share one index build and one value-bucket
+	// build. Evicting a document's last bundle drops its slot (see
+	// dropDocLocked), so the slots stay within the byte budget's reach.
+	docs        sync.Map // *xmldoc.Document → *docSlot, see IndexFor/GraphFor
 	indexHits   atomic.Uint64
 	indexMisses atomic.Uint64
+	graphHits   atomic.Uint64
+	graphMisses atomic.Uint64
 
 	// planHits/planMisses count bundle resolutions by whether the
 	// compiled truth plan was reused or built (see Store.Bundle).
@@ -165,7 +170,24 @@ func (s *Store) evictLocked() {
 		delete(s.entries, e.key)
 		s.bytes -= e.size
 		s.evictions.Add(1)
+		if b, ok := e.val.(*Bundle); ok {
+			s.dropDocLocked(b.Doc)
+		}
 	}
+}
+
+// dropDocLocked forgets doc's per-document slot once no published
+// bundle is over it, so the index and data graph of a document whose
+// bundles were all evicted leave the store with them. A build in flight
+// over the same document may then build them again: that costs speed,
+// never correctness.
+func (s *Store) dropDocLocked(doc *xmldoc.Document) {
+	for _, e := range s.entries {
+		if b, ok := e.val.(*Bundle); ok && b.Doc == doc {
+			return
+		}
+	}
+	s.docs.Delete(doc)
 }
 
 // Stats is a point-in-time snapshot of the store's counters, in the
@@ -177,6 +199,9 @@ type Stats struct {
 	Lookups xq.CacheCounter
 	// Indexes counts IndexFor calls the same way.
 	Indexes xq.CacheCounter
+	// Graphs counts GraphFor calls the same way: a miss built the
+	// document's value buckets.
+	Graphs xq.CacheCounter
 	// Plans counts bundle resolutions by compiled-plan reuse: a miss
 	// compiled the truth tree's plan set, a hit adopted a published one.
 	Plans xq.CacheCounter
@@ -199,6 +224,7 @@ func (s *Store) Stats() Stats {
 	return Stats{
 		Lookups:   xq.CacheCounter{Hits: s.hits.Load(), Misses: s.misses.Load()},
 		Indexes:   xq.CacheCounter{Hits: s.indexHits.Load(), Misses: s.indexMisses.Load()},
+		Graphs:    xq.CacheCounter{Hits: s.graphHits.Load(), Misses: s.graphMisses.Load()},
 		Plans:     xq.CacheCounter{Hits: s.planHits.Load(), Misses: s.planMisses.Load()},
 		Symtabs:   xq.CacheCounter{Hits: s.symHits.Load(), Misses: s.symMisses.Load()},
 		Evictions: s.evictions.Load(),

@@ -258,3 +258,35 @@ func TestGetDistinctKeysBuildConcurrently(t *testing.T) {
 		t.Fatalf("misses = %d, want %d", st.Lookups.Misses, n)
 	}
 }
+
+// TestEvictionDropsDocumentSlot checks that evicting a document's last
+// bundle drops its per-document index and graph, while a document that
+// another published bundle still uses keeps them.
+func TestEvictionDropsDocumentSlot(t *testing.T) {
+	ctx := testCtx(t)
+	// A 1-byte budget keeps only the newest bundle.
+	s := NewStore(1)
+	mk := func(key string, doc *xmldoc.Document) *Bundle {
+		t.Helper()
+		b, err := s.Bundle(ctx, key,
+			func() (*xmldoc.Document, error) { return doc, nil },
+			func() (*xq.Tree, error) { return nil, nil })
+		if err != nil {
+			t.Fatalf("Bundle %s: %v", key, err)
+		}
+		return b
+	}
+	shared := xmldoc.MustParse("<a><b>x</b></a>")
+	b1 := mk(ScenarioKey("one"), shared)
+	mk(ScenarioKey("two"), shared) // evicts "one"; "two" still uses the document
+	if s.IndexFor(shared) != b1.Index || s.GraphFor(shared) != b1.Graph {
+		t.Fatal("a document with a published bundle must keep its index and graph")
+	}
+	mk(ScenarioKey("three"), xmldoc.MustParse("<a><b>y</b></a>")) // evicts "two"
+	if s.IndexFor(shared) == b1.Index || s.GraphFor(shared) == b1.Graph {
+		t.Fatal("evicting a document's last bundle must drop its index and graph")
+	}
+	if st := s.Stats(); st.Evictions != 2 || st.Indexes.Misses != 3 || st.Graphs.Misses != 3 {
+		t.Fatalf("stats = %+v, want 2 evictions and 3 index and graph builds", st)
+	}
+}

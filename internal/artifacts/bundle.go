@@ -35,11 +35,11 @@ type Bundle struct {
 	// sound for the same reason Extents sharing is: the bundle's tree is
 	// never mutated).
 	Plan *xq.TreePlan
-	// Graph is the default-config data graph over Doc — immutable after
-	// datagraph.New, so sessions running with the default graph bounds
-	// (the common case) adopt it via core.WithSharedGraph instead of
-	// rebuilding the value buckets per session. Engines running with
-	// non-default bounds ignore it and build their own.
+	// Graph is the default-config data graph over Doc, resolved through
+	// GraphFor: one per document instance, so every bundle over that
+	// document points at the same graph and its value buckets are built
+	// once. Sessions adopt it via core.WithSharedGraph; engines running
+	// with non-default bounds reuse its buckets under their own config.
 	Graph *datagraph.Graph
 	// Syms is the learner symbol table pre-seeded with Doc's alphabet —
 	// concurrency-safe and append-only, so every session sharing the
@@ -74,9 +74,10 @@ func ScenarioKey(id string) string {
 
 // Bundle resolves the artifact bundle stored under key, building the
 // document and ground-truth tree with the given constructors on a miss.
-// The index is resolved through IndexFor, so bundles whose constructors
-// return the same document instance (as the embedded benchmark suites
-// do) share one index build across distinct keys.
+// The index and data graph are resolved through IndexFor and GraphFor,
+// so bundles whose constructors return the same document instance (as
+// the embedded benchmark suites do) share one index build and one
+// value-bucket build across distinct keys.
 func (s *Store) Bundle(ctx context.Context, key string, doc func() (*xmldoc.Document, error), truth func() (*xq.Tree, error)) (*Bundle, error) {
 	compiled := false
 	v, err := s.Get(ctx, key, func(ctx context.Context) (any, int64, error) {
@@ -97,7 +98,7 @@ func (s *Store) Bundle(ctx context.Context, key string, doc func() (*xmldoc.Docu
 			Truth:   t,
 			Extents: xq.NewSharedExtents(),
 			Plan:    plan,
-			Graph:   datagraph.New(d, datagraph.DefaultConfig()),
+			Graph:   s.GraphFor(d),
 			Syms:    angluin.NewSymbolTable(d.Alphabet()...),
 			Hash:    key,
 		}
@@ -123,10 +124,25 @@ func (s *Store) Bundle(ctx context.Context, key string, doc func() (*xmldoc.Docu
 	return b, nil
 }
 
-// indexOnce is the once-per-document index slot behind IndexFor.
-type indexOnce struct {
-	once sync.Once
-	ix   *xq.Index
+// docSlot is the once-per-document slot behind IndexFor and GraphFor:
+// the facts that depend on the document alone, whatever the scenario.
+type docSlot struct {
+	ixOnce sync.Once
+	ix     *xq.Index
+
+	graphOnce sync.Once
+	graph     *datagraph.Graph
+}
+
+// slot returns doc's slot, creating it on first sight.
+func (s *Store) slot(doc *xmldoc.Document) *docSlot {
+	v, _ := s.docs.LoadOrStore(doc, &docSlot{})
+	slot, ok := v.(*docSlot)
+	if !ok {
+		// Unreachable: the map only ever stores *docSlot values.
+		return &docSlot{}
+	}
+	return slot
 }
 
 // IndexFor returns the store's canonical evaluator index for doc,
@@ -136,14 +152,9 @@ type indexOnce struct {
 // equal bytes get distinct indexes, which costs speed, never
 // correctness.
 func (s *Store) IndexFor(doc *xmldoc.Document) *xq.Index {
-	v, _ := s.indexes.LoadOrStore(doc, &indexOnce{})
-	slot, ok := v.(*indexOnce)
-	if !ok {
-		// Unreachable: the map only ever stores *indexOnce values.
-		return xq.NewIndex(doc)
-	}
+	slot := s.slot(doc)
 	built := false
-	slot.once.Do(func() {
+	slot.ixOnce.Do(func() {
 		slot.ix = xq.NewIndex(doc)
 		built = true
 	})
@@ -153,6 +164,25 @@ func (s *Store) IndexFor(doc *xmldoc.Document) *xq.Index {
 		s.indexHits.Add(1)
 	}
 	return slot.ix
+}
+
+// GraphFor returns the store's canonical default-config data graph for
+// doc, its value buckets built from IndexFor(doc)'s columns at most once
+// per document instance (keyed like IndexFor). Engines with other graph
+// bounds reuse the same buckets through Graph.Buckets.
+func (s *Store) GraphFor(doc *xmldoc.Document) *datagraph.Graph {
+	slot := s.slot(doc)
+	built := false
+	slot.graphOnce.Do(func() {
+		slot.graph = datagraph.New(datagraph.NewBuckets(s.IndexFor(doc)), datagraph.DefaultConfig())
+		built = true
+	})
+	if built {
+		s.graphMisses.Add(1)
+	} else {
+		s.graphHits.Add(1)
+	}
+	return slot.graph
 }
 
 // approxBundleBytes estimates a bundle's resident size for the byte

@@ -94,14 +94,6 @@ func newEngine(source *xmldoc.Document, teacher Teacher, opts Options) *Engine {
 	if e.syms = opts.SharedSymbols; e.syms == nil {
 		e.syms = angluin.NewSymbolTable(e.alphabet...)
 	}
-	if g := opts.SharedGraph; g != nil && g.Doc == source && g.Cfg == opts.Graph {
-		// Adopt the shared, immutable data graph: same document, same
-		// enumeration bounds, so the value buckets are identical to what
-		// datagraph.New would rebuild here.
-		e.graph = g
-	} else {
-		e.graph = datagraph.New(source, opts.Graph)
-	}
 	if e.Opts.MaxEQ <= 0 {
 		e.Opts.MaxEQ = 200
 	}
@@ -128,6 +120,17 @@ func newEngine(source *xmldoc.Document, teacher Teacher, opts Options) *Engine {
 			return true
 		})
 		xq.SortRootPaths(e.paths)
+	}
+	// The value buckets depend on the document alone: a shared graph
+	// over the source lends them whatever its config; without one they
+	// come from the evaluator's index (the shared one when adopted).
+	switch g := opts.SharedGraph; {
+	case g != nil && g.Doc == source && g.Cfg == opts.Graph:
+		e.graph = g
+	case g != nil && g.Doc == source:
+		e.graph = datagraph.New(g.Buckets(), opts.Graph)
+	default:
+		e.graph = datagraph.New(datagraph.NewBuckets(e.eval.Index()), opts.Graph)
 	}
 	return e
 }

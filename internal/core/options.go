@@ -94,10 +94,11 @@ func WithSharedIndex(ix *xq.Index) Option {
 
 // WithSharedGraph hands the session a pre-built, immutable data graph
 // over its source document (typically resolved through an
-// internal/artifacts store). The engine adopts it — skipping its own
-// document walk and value-bucket build — only when the graph's document
-// is the session's source and its config equals the session's Graph
-// config; otherwise it is ignored and the engine builds its own.
+// internal/artifacts store). When the graph's document is the session's
+// source the engine builds no value buckets: it adopts the graph as is
+// when its config equals the session's Graph config, and otherwise
+// reuses the graph's buckets under the session's config. A graph over
+// another document is ignored.
 func WithSharedGraph(g *datagraph.Graph) Option {
 	return func(o *Options) { o.SharedGraph = g }
 }

@@ -178,12 +178,12 @@ type Options struct {
 	// sessions (see internal/artifacts); an index over a different
 	// document instance is ignored.
 	SharedIndex *xq.Index
-	// SharedGraph, when set, built over the session's source document,
-	// and built with the session's Graph config, lets the engine adopt a
-	// pre-built data graph instead of walking the document itself. A
-	// Graph is immutable after datagraph.New and may back any number of
-	// concurrent sessions; a graph over a different document or config is
-	// ignored.
+	// SharedGraph, when set and built over the session's source
+	// document, lends the engine its value buckets, so the engine builds
+	// none: the graph is adopted as is under an equal Graph config and
+	// its buckets are reused under any other. A Graph is immutable and
+	// may back any number of concurrent sessions; a graph over a
+	// different document is ignored.
 	SharedGraph *datagraph.Graph
 	// SharedSymbols, when set, is the symbol intern table every learner
 	// of the session resolves its alphabet through (see

@@ -13,6 +13,7 @@
 package datagraph
 
 import (
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -49,59 +50,166 @@ func DefaultConfig() Config {
 	return Config{MaxPathDepth: 3, MaxBucket: 64, MaxRelayUp: 2, MaxTextBucket: 4, EnableDocRelay: true}
 }
 
-// Graph is the data graph over one document.
+// Buckets is the document half of the data graph: the v-equality
+// adjacency (trimmed value -> the attributes and text-only elements
+// carrying it, in document order). It depends only on the document, so
+// one Buckets backs every Graph over that document whatever its Config
+// (internal/artifacts keeps one per document, next to the index).
+// Immutable after NewBuckets and safe for concurrent readers.
+type Buckets struct {
+	doc  *xmldoc.Document
+	cols *xmldoc.Columns
+	// carries has one bit per node ID: set for the nodes carrying a
+	// joinable value (attributes and text-only elements). A value is
+	// the trimmed cols.Text span, so no value string is ever assembled.
+	carries []uint64
+	// ids numbers the distinct values; bucket b is nodes[start[b]:
+	// start[b+1]], and attr has bit b set when an attribute carries the
+	// value (the ID/IDREF signature of entity keys).
+	ids   map[string]int32
+	nodes []*xmldoc.Node
+	start []int32
+	attr  []uint64
+}
+
+// NewBuckets files the value-carrying nodes of ix's document by value,
+// reading the index's columns: one pass over the node kinds marks the
+// carriers, one pre-order walk of the element and attribute chains
+// numbers their values in document order, and a counting sort lays the
+// buckets out back to back.
+func NewBuckets(ix *xq.Index) *Buckets {
+	doc, cols := ix.Doc(), ix.Columns()
+	b := &Buckets{doc: doc, cols: cols, carries: make([]uint64, (cols.Len()+63)/64), ids: map[string]int32{}}
+	for id, k := range cols.Kind {
+		switch xmldoc.Kind(k) {
+		case xmldoc.AttributeNode:
+			setBit(b.carries, id)
+		case xmldoc.TextNode:
+			// A text child makes its parent a carrier unless the parent
+			// also has element children (mixed content).
+			if p := cols.Parent[id]; p >= 0 && xmldoc.Kind(cols.Kind[p]) == xmldoc.ElementNode && cols.FirstElem[p] < 0 {
+				setBit(b.carries, int(p))
+			}
+		}
+	}
+	n := 0
+	for _, w := range b.carries {
+		n += bits.OnesCount64(w)
+	}
+	// order lists the carriers in document order, of holds each one's
+	// bucket number, and size counts each bucket's nodes.
+	order := make([]int32, 0, n)
+	of := make([]int32, 0, n)
+	var size []int32
+	add := func(id int32) {
+		v := strings.TrimSpace(cols.Text(int(id)))
+		bk, ok := b.ids[v]
+		if !ok {
+			bk = int32(len(size))
+			b.ids[v] = bk
+			size = append(size, 0)
+		}
+		size[bk]++
+		order = append(order, id)
+		of = append(of, bk)
+	}
+	// Pre-order walk (node, its attributes, its element children) by
+	// the column chains — the order Document.Walk visits carriers in.
+	for id := int32(doc.DocNode().ID); id >= 0; {
+		if hasBit(b.carries, int(id)) {
+			add(id)
+		}
+		for a := cols.FirstAttr[id]; a >= 0; a = cols.NextAttr[a] {
+			add(a)
+		}
+		if c := cols.FirstElem[id]; c >= 0 {
+			id = c
+			continue
+		}
+		for id >= 0 && cols.NextElem[id] < 0 {
+			id = cols.Parent[id]
+		}
+		if id >= 0 {
+			id = cols.NextElem[id]
+		}
+	}
+	b.start = make([]int32, len(size)+1)
+	for i, s := range size {
+		b.start[i+1] = b.start[i] + s
+	}
+	b.nodes = make([]*xmldoc.Node, len(order))
+	b.attr = make([]uint64, (len(size)+63)/64)
+	// size turns into each bucket's fill cursor.
+	copy(size, b.start)
+	for i, id := range order {
+		bk := of[i]
+		b.nodes[size[bk]] = doc.NodeByID(int(id))
+		size[bk]++
+		if xmldoc.Kind(cols.Kind[id]) == xmldoc.AttributeNode {
+			setBit(b.attr, int(bk))
+		}
+	}
+	return b
+}
+
+func setBit(set []uint64, i int)      { set[i/64] |= 1 << (i % 64) }
+func hasBit(set []uint64, i int) bool { return set[i/64]&(1<<(i%64)) != 0 }
+
+// value returns the joinable value of a node of the document —
+// attribute values and the text of text-only elements, trimmed — read
+// from the index's text column. Nodes of another document carry none.
+func (b *Buckets) value(n *xmldoc.Node) (string, bool) {
+	if n.ID >= b.cols.Len() || n.Document() != b.doc || !hasBit(b.carries, n.ID) {
+		return "", false
+	}
+	return strings.TrimSpace(b.cols.Text(n.ID)), true
+}
+
+// bucket returns the nodes carrying value, in document order, and
+// whether any of them is an attribute. Callers must not mutate the
+// slice.
+func (b *Buckets) bucket(value string) ([]*xmldoc.Node, bool) {
+	bk, ok := b.ids[value]
+	if !ok {
+		return nil, false
+	}
+	s, e := b.start[bk], b.start[bk+1]
+	return b.nodes[s:e:e], hasBit(b.attr, int(bk))
+}
+
+// Graph is the data graph over one document: the document's shared
+// value buckets under one enumeration Config.
 type Graph struct {
 	Doc *xmldoc.Document
 	Cfg Config
 
-	// byValue is the v-equality adjacency: value -> nodes with that
-	// atomized value (attributes and text-only elements).
-	byValue map[string][]*xmldoc.Node
+	vals *Buckets
 }
 
-// New indexes the document's value-bearing nodes.
-func New(doc *xmldoc.Document, cfg Config) *Graph {
-	g := &Graph{Doc: doc, Cfg: cfg, byValue: map[string][]*xmldoc.Node{}}
-	doc.Walk(func(n *xmldoc.Node) bool {
-		if v, ok := nodeValue(n); ok {
-			g.byValue[v] = append(g.byValue[v], n)
-		}
-		return true
-	})
-	return g
+// New returns the data graph over the buckets' document with the given
+// enumeration bounds. It builds nothing: graphs with different configs
+// over one document share its buckets.
+func New(b *Buckets, cfg Config) *Graph {
+	return &Graph{Doc: b.doc, Cfg: cfg, vals: b}
 }
 
-// nodeValue returns the joinable value of a node: attribute values and
-// the text of text-only elements.
-func nodeValue(n *xmldoc.Node) (string, bool) {
-	switch n.Kind {
-	case xmldoc.AttributeNode:
-		return strings.TrimSpace(n.Value), true
-	case xmldoc.ElementNode:
-		hasText := false
-		for _, c := range n.Children {
-			switch c.Kind {
-			case xmldoc.TextNode:
-				hasText = true
-			case xmldoc.ElementNode:
-				return "", false
-			}
-		}
-		if hasText {
-			return strings.TrimSpace(n.Text()), true
-		}
-	}
-	return "", false
-}
+// Buckets returns the graph's value buckets.
+func (g *Graph) Buckets() *Buckets { return g.vals }
 
 // EqualValued returns the nodes sharing the value, or nil when the
 // bucket exceeds MaxBucket (too unselective to drive a join).
 func (g *Graph) EqualValued(value string) []*xmldoc.Node {
-	b := g.byValue[strings.TrimSpace(value)]
+	b, _ := g.vals.bucket(strings.TrimSpace(value))
 	if len(b) > g.Cfg.MaxBucket {
 		return nil
 	}
 	return b
+}
+
+// withinCap reports whether value's bucket fits MaxBucket.
+func (g *Graph) withinCap(value string) bool {
+	b, _ := g.vals.bucket(value)
+	return len(b) <= g.Cfg.MaxBucket
 }
 
 // joinSelective reports whether a value may drive a learned join
@@ -111,11 +219,11 @@ func (g *Graph) EqualValued(value string) []*xmldoc.Node {
 // "1001" or "U01", the shape of relational keys stored as element
 // text), which get a more generous bucket.
 func (g *Graph) joinSelective(value string) bool {
-	b := g.byValue[value]
+	b, attrBacked := g.vals.bucket(value)
 	if len(b) == 0 || len(b) > g.Cfg.MaxBucket {
 		return false
 	}
-	if g.attrBacked(value) {
+	if attrBacked {
 		return true
 	}
 	if len(b) <= g.Cfg.MaxTextBucket {
@@ -143,23 +251,13 @@ func looksLikeKey(v string) bool {
 	return hasDigit
 }
 
-// attrBacked reports whether the value occurs in at least one attribute
-// node (the ID/IDREF signature of entity keys).
-func (g *Graph) attrBacked(value string) bool {
-	for _, n := range g.byValue[value] {
-		if n.Kind == xmldoc.AttributeNode {
-			return true
-		}
-	}
-	return false
-}
-
 // VEdgeCount returns the number of v-equality edges in the graph (the
 // "density" static factor of Section 10).
 func (g *Graph) VEdgeCount() int {
 	total := 0
-	for _, b := range g.byValue {
-		total += len(b) * (len(b) - 1) / 2
+	for i := 1; i < len(g.vals.start); i++ {
+		n := int(g.vals.start[i] - g.vals.start[i-1])
+		total += n * (n - 1) / 2
 	}
 	return total
 }
@@ -178,18 +276,18 @@ func (g *Graph) valueLeaves(n *xmldoc.Node) []valueLeaf {
 	var out []valueLeaf
 	var walk func(cur *xmldoc.Node, path xq.SimplePath, depth int)
 	walk = func(cur *xmldoc.Node, path xq.SimplePath, depth int) {
-		if v, ok := nodeValue(cur); ok && v != "" {
+		if v, ok := g.vals.value(cur); ok && v != "" {
 			out = append(out, valueLeaf{node: cur, path: append(xq.SimplePath(nil), path...), value: v})
 		}
 		if depth >= g.Cfg.MaxPathDepth || cur.Kind != xmldoc.ElementNode {
 			return
 		}
 		for _, a := range cur.Attrs {
-			walk(a, append(path, xq.Step{Name: "@" + a.Name}), depth+1)
+			walk(a, append(path, xq.Step{Name: a.Label()}), depth+1)
 		}
 		for _, c := range cur.Children {
 			if c.Kind == xmldoc.ElementNode {
-				walk(c, append(path, xq.Step{Name: c.Name}), depth+1)
+				walk(c, append(path, xq.Step{Name: c.Label()}), depth+1)
 			}
 		}
 	}
@@ -319,7 +417,7 @@ func (g *Graph) RelayJoins(v1 string, n1 *xmldoc.Node, v2 string, n2 *xmldoc.Nod
 						continue
 					}
 					for _, b := range l2 {
-						if b.value != z.value || !g.joinSelective(z.value) {
+						if b.value != z.value {
 							continue
 						}
 						p := &xq.Pred{
@@ -344,7 +442,7 @@ func (g *Graph) RelayJoins(v1 string, n1 *xmldoc.Node, v2 string, n2 *xmldoc.Nod
 	// satisfies ..." — how XMP-style text joins surface).
 	// The identifying value only needs the hard bucket cap: the
 	// conjunction with the second (selective) link does the filtering.
-	if v, ok := nodeValue(n1); ok && v != "" && len(g.byValue[v]) <= g.Cfg.MaxBucket {
+	if v, ok := g.vals.value(n1); ok && v != "" && g.withinCap(v) {
 		for _, r := range g.relayEntities(n1) {
 			if r == n1 {
 				continue
@@ -427,7 +525,7 @@ func (g *Graph) LinkCondition(scope map[string]*xmldoc.Node, condNode *xmldoc.No
 				continue
 			}
 			for _, z := range g.valueLeaves(r) {
-				if (z.node == condNode && !allowSelf) || len(g.byValue[z.value]) > g.Cfg.MaxBucket {
+				if (z.node == condNode && !allowSelf) || !g.withinCap(z.value) {
 					continue
 				}
 				for _, v := range vars {

@@ -33,7 +33,7 @@ const instance = `<site>
 func graph(t *testing.T) (*Graph, *xmldoc.Document) {
 	t.Helper()
 	doc := xmldoc.MustParse(instance)
-	return New(doc, DefaultConfig()), doc
+	return New(NewBuckets(xq.NewIndex(doc)), DefaultConfig()), doc
 }
 
 func itemByID(t *testing.T, doc *xmldoc.Document, id string) *xmldoc.Node {
@@ -103,7 +103,7 @@ func TestDirectJoinsNoFalseLink(t *testing.T) {
 
 func TestRel1SameValue(t *testing.T) {
 	doc := xmldoc.MustParse(`<r><a>42</a><b>42</b></r>`)
-	g := New(doc, DefaultConfig())
+	g := New(NewBuckets(xq.NewIndex(doc)), DefaultConfig())
 	a := doc.NodesWithLabel("a")[0]
 	b := doc.NodesWithLabel("b")[0]
 	preds := g.DirectJoins("x", a, "y", b)
@@ -124,7 +124,7 @@ func TestRelayJoins(t *testing.T) {
 	    <order><p>p2</p><c>c9</c></order>
 	  </orders>
 	</db>`)
-	g := New(doc, DefaultConfig())
+	g := New(NewBuckets(xq.NewIndex(doc)), DefaultConfig())
 	var p1 *xmldoc.Node
 	for _, n := range doc.NodesWithLabel("product") {
 		if v, _ := n.Attr("pid"); v == "p1" {
@@ -260,7 +260,7 @@ func TestMaxBucketSkipsNoise(t *testing.T) {
 	doc := xmldoc.MustParse(b.String())
 	cfg := DefaultConfig()
 	cfg.MaxBucket = 10
-	g := New(doc, cfg)
+	g := New(NewBuckets(xq.NewIndex(doc)), cfg)
 	l := doc.NodesWithLabel("l")[0]
 	m := doc.NodesWithLabel("m")[0]
 	if preds := g.DirectJoins("x", l, "y", m); len(preds) != 0 {
@@ -273,7 +273,7 @@ func TestMaxBucketSkipsNoise(t *testing.T) {
 
 func TestVEdgeCount(t *testing.T) {
 	doc := xmldoc.MustParse(`<r><a>1</a><b>1</b><c>1</c><d>2</d></r>`)
-	g := New(doc, DefaultConfig())
+	g := New(NewBuckets(xq.NewIndex(doc)), DefaultConfig())
 	if got := g.VEdgeCount(); got != 3 { // C(3,2) = 3 for value "1"
 		t.Fatalf("VEdgeCount = %d, want 3", got)
 	}
@@ -283,14 +283,14 @@ func TestMaxPathDepthBound(t *testing.T) {
 	doc := xmldoc.MustParse(`<r><a><b><c><d><e>deep</e></d></c></b></a><x>deep</x></r>`)
 	cfg := DefaultConfig()
 	cfg.MaxPathDepth = 2
-	g := New(doc, cfg)
+	g := New(NewBuckets(xq.NewIndex(doc)), cfg)
 	a := doc.NodesWithLabel("a")[0]
 	x := doc.NodesWithLabel("x")[0]
 	if preds := g.DirectJoins("p", a, "q", x); len(preds) != 0 {
 		t.Fatalf("join path beyond depth bound must be skipped: %v", keys(preds))
 	}
 	cfg.MaxPathDepth = 5
-	g = New(doc, cfg)
+	g = New(NewBuckets(xq.NewIndex(doc)), cfg)
 	if preds := g.DirectJoins("p", a, "q", x); len(preds) == 0 {
 		t.Fatal("deeper bound should find the join")
 	}

@@ -292,12 +292,9 @@ func (s *Sim) OrderBy(ctx context.Context, frag core.FragmentRef) ([]xq.SortKey,
 // given label whose text equals value (a scenario convenience).
 func SelectByText(label, value string) func(*xmldoc.Document) *xmldoc.Node {
 	return func(doc *xmldoc.Document) *xmldoc.Node {
-		for _, n := range doc.NodesWithLabel(label) {
-			if strings.TrimSpace(n.Text()) == value {
-				return n
-			}
-		}
-		return nil
+		return doc.FirstWithLabel(label, func(n *xmldoc.Node) bool {
+			return strings.TrimSpace(n.Text()) == value
+		})
 	}
 }
 
@@ -305,10 +302,13 @@ func SelectByText(label, value string) func(*xmldoc.Document) *xmldoc.Node {
 // order) with the given label.
 func SelectNth(label string, i int) func(*xmldoc.Document) *xmldoc.Node {
 	return func(doc *xmldoc.Document) *xmldoc.Node {
-		ns := doc.NodesWithLabel(label)
-		if i < len(ns) {
-			return ns[i]
+		if i < 0 {
+			return nil
 		}
-		return nil
+		seen := 0
+		return doc.FirstWithLabel(label, func(*xmldoc.Node) bool {
+			seen++
+			return seen > i
+		})
 	}
 }

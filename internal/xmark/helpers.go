@@ -15,13 +15,13 @@ const allItemsPath = "/site/regions/(africa|asia|australia|europe|namerica|samer
 
 // --- node selectors over the generated instance ---
 
+// byIDAttr selects the first node with the label whose id attribute is
+// id.
 func byIDAttr(doc *xmldoc.Document, label, id string) *xmldoc.Node {
-	for _, n := range doc.NodesWithLabel(label) {
-		if v, _ := n.Attr("id"); v == id {
-			return n
-		}
-	}
-	return nil
+	return doc.FirstWithLabel(label, func(n *xmldoc.Node) bool {
+		v, _ := n.Attr("id")
+		return v == id
+	})
 }
 
 func personByID(doc *xmldoc.Document, id string) *xmldoc.Node {
@@ -74,12 +74,9 @@ func mustPath(s string) pathre.Expr { return pathre.MustParsePath(s) }
 // textContains selects the first node with the label whose text
 // contains the substring.
 func textContains(doc *xmldoc.Document, label, sub string) *xmldoc.Node {
-	for _, n := range doc.NodesWithLabel(label) {
-		if strings.Contains(n.Text(), sub) {
-			return n
-		}
-	}
-	return nil
+	return doc.FirstWithLabel(label, func(n *xmldoc.Node) bool {
+		return strings.Contains(n.Text(), sub)
+	})
 }
 
 // newEval is a test/tool convenience.

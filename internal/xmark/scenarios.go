@@ -267,12 +267,14 @@ func q8(doc *xmldoc.Document) *scenario.Scenario {
 				}},
 			{Path: "q8/pers8/bought8", Var: "b8", Wrap: countWrap, Terms: 2,
 				Select: func(d *xmldoc.Document) *xmldoc.Node {
-					for _, b := range d.NodesWithLabel("buyer") {
-						if v, _ := b.Attr("person"); v == "person0" {
-							return b.AttrNode("person")
-						}
+					b := d.FirstWithLabel("buyer", func(b *xmldoc.Node) bool {
+						v, _ := b.Attr("person")
+						return v == "person0"
+					})
+					if b == nil {
+						return nil
 					}
-					return nil
+					return b.AttrNode("person")
 				}},
 		},
 	}

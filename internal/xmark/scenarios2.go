@@ -138,13 +138,10 @@ func q14(doc *xmldoc.Document) *scenario.Scenario {
 		R:  xq.ConstOp("gold"),
 	}}}
 	goldItem := func(d *xmldoc.Document) *xmldoc.Node {
-		for _, it := range d.NodesWithLabel("item") {
+		return d.FirstWithLabel("item", func(it *xmldoc.Node) bool {
 			desc := it.FirstChildNamed("description")
-			if desc != nil && strings.Contains(desc.Text(), "gold") {
-				return it
-			}
-		}
-		return nil
+			return desc != nil && strings.Contains(desc.Text(), "gold")
+		})
 	}
 	return &scenario.Scenario{
 		ID:          "XMark-Q14",
@@ -180,6 +177,12 @@ func q14(doc *xmldoc.Document) *scenario.Scenario {
 const deepKeywordPath = "/site/open_auctions/open_auction/annotation/description" +
 	"/parlist/listitem/parlist/listitem/text/emph/keyword"
 
+// deepKeyword matches the keywords buried in doubly nested parlists of
+// an auction annotation.
+func deepKeyword(kw *xmldoc.Node) bool {
+	return strings.Contains(kw.PathString(), "open_auction/annotation/description/parlist/listitem/parlist/listitem")
+}
+
 // Q15: keywords buried in doubly nested parlists of auction annotations.
 func q15(doc *xmldoc.Document) *scenario.Scenario {
 	return &scenario.Scenario{
@@ -193,12 +196,7 @@ func q15(doc *xmldoc.Document) *scenario.Scenario {
 		Drops: []core.Drop{{
 			Path: "q15/ktext15", Var: "k15",
 			Select: func(d *xmldoc.Document) *xmldoc.Node {
-				for _, kw := range d.NodesWithLabel("keyword") {
-					if strings.Contains(kw.PathString(), "open_auction/annotation/description/parlist/listitem/parlist/listitem") {
-						return kw
-					}
-				}
-				return nil
+				return d.FirstWithLabel("keyword", deepKeyword)
 			},
 		}},
 	}
@@ -213,16 +211,11 @@ func q16(doc *xmldoc.Document) *scenario.Scenario {
 			"annotation/description/parlist/listitem/parlist/listitem/text/emph/keyword")),
 	}}}
 	deepAuction := func(d *xmldoc.Document) *xmldoc.Node {
-		for _, kw := range d.NodesWithLabel("keyword") {
-			if strings.Contains(kw.PathString(), "open_auction/annotation/description/parlist/listitem/parlist/listitem") {
-				cur := kw
-				for cur != nil && cur.Name != "open_auction" {
-					cur = cur.Parent
-				}
-				return cur
-			}
+		cur := d.FirstWithLabel("keyword", deepKeyword)
+		for cur != nil && cur.Name != "open_auction" {
+			cur = cur.Parent
 		}
-		return nil
+		return cur
 	}
 	return &scenario.Scenario{
 		ID:          "XMark-Q16",
@@ -286,12 +279,9 @@ func q17(doc *xmldoc.Document) *scenario.Scenario {
 		Drops: []core.Drop{{
 			Path: "q17/pers17/pname17", Var: "pn17", AnchorVar: "h17",
 			Select: func(d *xmldoc.Document) *xmldoc.Node {
-				for _, p := range d.NodesWithLabel("person") {
-					if p.FirstChildNamed("homepage") == nil {
-						return p.FirstChildNamed("name")
-					}
-				}
-				return nil
+				return childNamed(d.FirstWithLabel("person", func(p *xmldoc.Node) bool {
+					return p.FirstChildNamed("homepage") == nil
+				}), "name")
 			},
 		}},
 		Boxes: map[string][]core.BoxEntry{
@@ -393,17 +383,18 @@ func q20(doc *xmldoc.Document) *scenario.Scenario {
 	}
 	incomeIn := func(lo, hi float64) func(*xmldoc.Document) *xmldoc.Node {
 		return func(d *xmldoc.Document) *xmldoc.Node {
-			for _, p := range d.NodesWithLabel("profile") {
+			p := d.FirstWithLabel("profile", func(p *xmldoc.Node) bool {
 				a := p.AttrNode("income")
 				if a == nil {
-					continue
+					return false
 				}
 				v := xq.StrValue(a.Value)
-				if v.IsNum && v.Num >= lo && v.Num < hi {
-					return a
-				}
+				return v.IsNum && v.Num >= lo && v.Num < hi
+			})
+			if p == nil {
+				return nil
 			}
-			return nil
+			return p.AttrNode("income")
 		}
 	}
 	return &scenario.Scenario{
@@ -431,12 +422,9 @@ func q20(doc *xmldoc.Document) *scenario.Scenario {
 				Select: incomeIn(0, 30000)},
 			{Path: "q20/na20", Var: "n20", Wrap: countWrap, Terms: 2,
 				Select: func(d *xmldoc.Document) *xmldoc.Node {
-					for _, p := range d.NodesWithLabel("person") {
-						if selPath(p, "profile/@income") == nil {
-							return p.FirstChildNamed("name")
-						}
-					}
-					return nil
+					return childNamed(d.FirstWithLabel("person", func(p *xmldoc.Node) bool {
+						return selPath(p, "profile/@income") == nil
+					}), "name")
 				}},
 		},
 		Boxes: map[string][]core.BoxEntry{

@@ -427,6 +427,25 @@ func (d *Document) NodesWithLabel(label string) []*Node {
 	return out
 }
 
+// FirstWithLabel returns the first element/attribute node in document
+// order whose Label equals label and that satisfies match, or nil. The
+// walk stops at the match and is skipped altogether when no node of the
+// document carries the label; match sees only nodes with the label.
+func (d *Document) FirstWithLabel(label string, match func(*Node) bool) *Node {
+	sym, ok := d.SymOf(label)
+	if !ok {
+		return nil
+	}
+	var hit *Node
+	d.Walk(func(n *Node) bool {
+		if n.sym == sym && match(n) {
+			hit = n
+		}
+		return hit == nil
+	})
+	return hit
+}
+
 // Alphabet returns the sorted set of labels (element tags and "@attr"
 // names) occurring in the document. This is the DFA alphabet for
 // instance-driven learning. The label set is maintained incrementally

@@ -286,3 +286,34 @@ func TestDescendantsEarlyStop(t *testing.T) {
 		t.Fatalf("early stop visited %d, want 3", count)
 	}
 }
+
+// TestFirstWithLabelMatchesNodesWithLabel checks the early-stopping
+// selector against a scan of NodesWithLabel: for every label (and one
+// absent label) and every position, selecting the i-th labeled node
+// yields the same node, and a match on attribute values too.
+func TestFirstWithLabelMatchesNodesWithLabel(t *testing.T) {
+	d := MustParse(sample)
+	for _, label := range append(d.Alphabet(), "absent", "#text") {
+		all := d.NodesWithLabel(label)
+		for i := 0; i <= len(all); i++ {
+			seen := 0
+			got := d.FirstWithLabel(label, func(n *Node) bool {
+				if n.Label() != label {
+					t.Fatalf("%s: match saw %s", label, n.Label())
+				}
+				seen++
+				return seen > i
+			})
+			var want *Node
+			if i < len(all) {
+				want = all[i]
+			}
+			if got != want {
+				t.Fatalf("%s[%d]: got %v, want %v", label, i, got, want)
+			}
+		}
+	}
+	if got := d.FirstWithLabel("category", func(n *Node) bool { v, _ := n.Attr("id"); return v == "c2" }); got != d.NodesWithLabel("category")[1] {
+		t.Fatalf("category c2: got %v", got)
+	}
+}
