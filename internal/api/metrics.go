@@ -73,7 +73,9 @@ type CacheCounterV1 struct {
 // from the current chunk vs fresh chunk allocations. Value always
 // reads zero: node values are a column of the evaluator's shared index,
 // with no per-evaluator memo left to count; the field keeps the wire
-// shape.
+// shape. Simple and Relay count the interpreted evaluation leg only;
+// compiled plans walk operand paths over the index columns and probe
+// value-class tables, so they read near zero on the default path.
 type CacheStatsV1 struct {
 	Path    CacheCounterV1 `json:"path"`
 	Simple  CacheCounterV1 `json:"simple"`

@@ -34,21 +34,33 @@ func ScenarioByID(id string) *scenario.Scenario {
 func mustDTD(src string) *dtd.DTD { return dtd.MustParse(src) }
 
 func itemByNo(doc *xmldoc.Document, no string) *xmldoc.Node {
-	for _, it := range doc.NodesWithLabel("item_tuple") {
-		if n := it.FirstChildNamed("itemno"); n != nil && n.Text() == no {
-			return it
-		}
-	}
-	return nil
+	return doc.FirstWithLabel("item_tuple", childTextIs("itemno", no))
 }
 
 func userByID(doc *xmldoc.Document, id string) *xmldoc.Node {
-	for _, u := range doc.NodesWithLabel("user_tuple") {
-		if n := u.FirstChildNamed("userid"); n != nil && n.Text() == id {
-			return u
-		}
+	return doc.FirstWithLabel("user_tuple", childTextIs("userid", id))
+}
+
+// childTextIs returns a FirstWithLabel match for nodes whose first
+// child element named child has text s.
+func childTextIs(child, s string) func(*xmldoc.Node) bool {
+	return func(n *xmldoc.Node) bool {
+		c := n.FirstChildNamed(child)
+		return c != nil && c.Text() == s
 	}
-	return nil
+}
+
+// bidWhere returns the child element named child of the first bid
+// tuple that match accepts, or nil.
+func bidWhere(d *xmldoc.Document, child string, match func(*xmldoc.Node) bool) *xmldoc.Node {
+	b := d.FirstWithLabel("bid_tuple", match)
+	if b == nil {
+		return nil
+	}
+	if child == "" {
+		return b
+	}
+	return b.FirstChildNamed(child)
 }
 
 // Q1: item numbers and descriptions of all bicycles (contains filter).
@@ -132,12 +144,9 @@ func rq2(doc *xmldoc.Document) *scenario.Scenario {
 				}},
 			{Path: "rq2/brec2/high2", Var: "hb2", Wrap: scenario.FnWrap("max"), Terms: 2,
 				Select: func(d *xmldoc.Document) *xmldoc.Node {
-					for _, b := range d.NodesWithLabel("bid_tuple") {
-						if b.FirstChildNamed("itemno").Text() == "1001" {
-							return b.FirstChildNamed("bid")
-						}
-					}
-					return nil
+					return bidWhere(d, "bid", func(b *xmldoc.Node) bool {
+						return b.FirstChildNamed("itemno").Text() == "1001"
+					})
 				}},
 		},
 		Boxes: map[string][]core.BoxEntry{
@@ -246,12 +255,9 @@ func rq5(doc *xmldoc.Document) *scenario.Scenario {
 				}},
 			{Path: "rq5/icount5/nbids5", Var: "b5", Wrap: scenario.CountWrap, Terms: 2,
 				Select: func(d *xmldoc.Document) *xmldoc.Node {
-					for _, b := range d.NodesWithLabel("bid_tuple") {
-						if b.FirstChildNamed("itemno").Text() == "1001" {
-							return b
-						}
-					}
-					return nil
+					return bidWhere(d, "", func(b *xmldoc.Node) bool {
+						return b.FirstChildNamed("itemno").Text() == "1001"
+					})
 				}},
 		},
 	}
@@ -297,18 +303,18 @@ func rq6(doc *xmldoc.Document) *scenario.Scenario {
 						return nil
 					}
 					no := ce.Parent.FirstChildNamed("itemno").Text()
-					for _, b := range d.NodesWithLabel("bid_tuple") {
-						if b.FirstChildNamed("itemno").Text() == no && b.Parent.Name == "bids" {
-							return b.FirstChildNamed("itemno")
-						}
-					}
-					return nil
+					return bidWhere(d, "itemno", func(b *xmldoc.Node) bool {
+						return b.FirstChildNamed("itemno").Text() == no && b.Parent.Name == "bids"
+					})
 				},
 				Op: xq.OpExists, Negated: true, Terms: 3,
 			}},
 		},
 	}
 }
+
+// bid400 matches the 400-dollar bid tuple, Q8's example.
+func bid400(b *xmldoc.Node) bool { return b.FirstChildNamed("bid").Text() == "400" }
 
 // Q8: bids above 100 dollars with their bidders' ids.
 func rq8(doc *xmldoc.Document) *scenario.Scenario {
@@ -333,32 +339,17 @@ func rq8(doc *xmldoc.Document) *scenario.Scenario {
 		Drops: []core.Drop{
 			{Path: "rq8/bigbid8/who8", Var: "w8", AnchorVar: "b8",
 				Select: func(d *xmldoc.Document) *xmldoc.Node {
-					for _, b := range d.NodesWithLabel("bid_tuple") {
-						if b.FirstChildNamed("bid").Text() == "400" {
-							return b.FirstChildNamed("userid")
-						}
-					}
-					return nil
+					return bidWhere(d, "userid", bid400)
 				}},
 			{Path: "rq8/bigbid8/amount8", Var: "a8",
 				Select: func(d *xmldoc.Document) *xmldoc.Node {
-					for _, b := range d.NodesWithLabel("bid_tuple") {
-						if b.FirstChildNamed("bid").Text() == "400" {
-							return b.FirstChildNamed("bid")
-						}
-					}
-					return nil
+					return bidWhere(d, "bid", bid400)
 				}},
 		},
 		Boxes: map[string][]core.BoxEntry{
 			"w8": {{
 				Select: func(d *xmldoc.Document, ce *xmldoc.Node) *xmldoc.Node {
-					for _, b := range d.NodesWithLabel("bid_tuple") {
-						if b.FirstChildNamed("bid").Text() == "400" {
-							return b.FirstChildNamed("bid")
-						}
-					}
-					return nil
+					return bidWhere(d, "bid", bid400)
 				},
 				Op: xq.OpGt, Const: "100", Terms: 3,
 			}},

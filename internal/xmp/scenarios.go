@@ -37,22 +37,22 @@ func ScenarioByID(id string) *scenario.Scenario {
 func mustDTD(src string) *dtd.DTD { return dtd.MustParse(src) }
 
 func bookByTitle(doc *xmldoc.Document, title string) *xmldoc.Node {
-	for _, b := range doc.NodesWithLabel("book") {
-		if t := b.FirstChildNamed("title"); t != nil && t.Text() == title &&
-			b.Parent != nil && b.Parent.Name == "bib" {
-			return b
-		}
-	}
-	return nil
+	return doc.FirstWithLabel("book", func(b *xmldoc.Node) bool {
+		t := b.FirstChildNamed("title")
+		return t != nil && t.Text() == title && b.Parent != nil && b.Parent.Name == "bib"
+	})
 }
 
 func entryByTitle(doc *xmldoc.Document, title string) *xmldoc.Node {
-	for _, e := range doc.NodesWithLabel("entry") {
-		if t := e.FirstChildNamed("title"); t != nil && t.Text() == title {
-			return e
-		}
-	}
-	return nil
+	return doc.FirstWithLabel("entry", func(e *xmldoc.Node) bool {
+		t := e.FirstChildNamed("title")
+		return t != nil && t.Text() == title
+	})
+}
+
+// textIs returns a FirstWithLabel match for nodes whose text is s.
+func textIs(s string) func(*xmldoc.Node) bool {
+	return func(n *xmldoc.Node) bool { return n.Text() == s }
 }
 
 // awAfter1991 is Q1/Q7's selection: Addison-Wesley books after 1991.
@@ -317,12 +317,7 @@ func xq8(doc *xmldoc.Document) *scenario.Scenario {
 		Boxes: map[string][]core.BoxEntry{
 			"t8v": {{
 				Select: func(d *xmldoc.Document, ce *xmldoc.Node) *xmldoc.Node {
-					for _, l := range d.NodesWithLabel("last") {
-						if l.Text() == "Suciu" {
-							return l
-						}
-					}
-					return nil
+					return d.FirstWithLabel("last", textIs("Suciu"))
 				},
 				Op: xq.OpEq, Const: "Suciu", Terms: 3,
 			}},
@@ -349,23 +344,13 @@ func xq9(doc *xmldoc.Document) *scenario.Scenario {
 		Drops: []core.Drop{{
 			Path: "x9/t9e", Var: "t9",
 			Select: func(d *xmldoc.Document) *xmldoc.Node {
-				for _, t := range d.NodesWithLabel("title") {
-					if t.Text() == "XML Processing" {
-						return t
-					}
-				}
-				return nil
+				return d.FirstWithLabel("title", textIs("XML Processing"))
 			},
 		}},
 		Boxes: map[string][]core.BoxEntry{
 			"t9": {{
 				Select: func(d *xmldoc.Document, ce *xmldoc.Node) *xmldoc.Node {
-					for _, t := range d.NodesWithLabel("title") {
-						if t.Text() == "XML Processing" {
-							return t
-						}
-					}
-					return nil
+					return d.FirstWithLabel("title", textIs("XML Processing"))
 				},
 				Op: xq.OpContains, Const: "XML", Terms: 3,
 			}},
@@ -405,13 +390,14 @@ func xq10(doc *xmldoc.Document) *scenario.Scenario {
 				}},
 			{Path: "x10/book10/minprice10", Var: "pp10", Wrap: scenario.MinWrap, Terms: 4,
 				Select: func(d *xmldoc.Document) *xmldoc.Node {
-					for _, b := range d.NodesWithLabel("book") {
-						if b.Parent != nil && b.Parent.Name == "prices" &&
-							b.FirstChildNamed("title").Text() == "TCP/IP Illustrated" {
-							return b.FirstChildNamed("price")
-						}
+					b := d.FirstWithLabel("book", func(b *xmldoc.Node) bool {
+						return b.Parent != nil && b.Parent.Name == "prices" &&
+							b.FirstChildNamed("title").Text() == "TCP/IP Illustrated"
+					})
+					if b == nil {
+						return nil
 					}
-					return nil
+					return b.FirstChildNamed("price")
 				}},
 		},
 	}

@@ -30,7 +30,8 @@ import (
 // without bound — on overflow a cache is dropped wholesale and rebuilt,
 // which affects speed, never results.
 const (
-	// relayIndexMinSize gates the equality-join index: relay scans over
+	// relayIndexMinSize gates the interpreted leg's equality-join index
+	// (compiled plans probe value classes instead): relay scans over
 	// fewer candidates are cheaper to run than to index.
 	relayIndexMinSize = 8
 	extentCacheMax    = 1 << 14

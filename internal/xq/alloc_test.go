@@ -59,35 +59,52 @@ func TestExtentHotPathAllocs(t *testing.T) {
 // column, bindings and output through the reused scratch — with zero
 // heap allocations. This is the budget the ablation table's >=2x
 // allocation reduction rests on; any object born here multiplies by
-// every membership query of every dialogue.
+// every membership query of every dialogue. The equality-join cases
+// run on probes: their first run builds the class tables, and warm runs
+// only read them.
 func TestCompiledExecAllocs(t *testing.T) {
 	doc, _ := allocDoc()
-	tree := MustParseQuery(`for $i in /site/regions/europe/item where data($i/payment) = "Cash" return <r>$i</r>`)
-	n := tree.VarNode("i")
-	if n == nil {
-		t.Fatal("no var node")
-	}
-	ev := NewEvaluator(doc)
-	ctx := context.Background()
-	// First Extent compiles the plan and warms the path caches and the
-	// arena; afterwards the raw executor must be allocation-free.
-	if _, err := ev.Extent(ctx, tree, n, nil); err != nil {
-		t.Fatal(err)
-	}
-	p := ev.planFor(n)
-	if p == nil {
-		t.Fatal("no compiled plan")
-	}
-	if _, err := ev.execExtent(ctx, p, nil); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
+	for _, c := range []struct {
+		doc    *xmldoc.Document
+		src, v string
+	}{
+		{doc, `for $i in /site/regions/europe/item where data($i/payment) = "Cash" return <r>$i</r>`, "i"},
+		{fuzzDoc, `for $p in /r/ppl/p return <o>{for $i in /r/items/item where data($i/@key) = data($p/pid) and data($i/price) = data($p/pid) return $i}</o>`, "i"},
+		{fuzzDoc, `for $q in /r/ppl/p return <o>{for $p in /r/ppl/p where data($p/pid) = data($q/pid) * 1000 return $p}</o>`, "p"},
+		{fuzzDoc, `for $i in /r/items/item where some $w in document()/r/ppl/p satisfies (data($w/pid) = data($i/@key) and data($w/pid) != "x") return <o>$i</o>`, "i"},
+	} {
+		tree := MustParseQuery(c.src)
+		n := tree.VarNode(c.v)
+		if n == nil {
+			t.Fatal("no var node")
+		}
+		ev := NewEvaluator(c.doc)
+		ctx := context.Background()
+		// First Extent compiles the plan and warms the path caches, the
+		// probe tables and the arena; afterwards the raw executor must
+		// be allocation-free.
+		ext, err := ev.Extent(ctx, tree, n, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ext) == 0 {
+			t.Fatalf("%s: empty extent exercises no join", c.src)
+		}
+		p := ev.planFor(n)
+		if p == nil {
+			t.Fatal("no compiled plan")
+		}
 		if _, err := ev.execExtent(ctx, p, nil); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("warm compiled execExtent allocates %.1f objects per run, want 0", allocs)
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := ev.execExtent(ctx, p, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: warm compiled execExtent allocates %.1f objects per run, want 0", c.src, allocs)
+		}
 	}
 }
 

@@ -29,7 +29,9 @@ func (c CacheCounter) add(o CacheCounter) CacheCounter {
 type CacheStats struct {
 	// Path counts PathNodes memo lookups (per start node + expression).
 	Path CacheCounter
-	// Simple counts EvalSimplePath memo lookups.
+	// Simple counts EvalSimplePath memo lookups. Only the interpreted
+	// leg has the memo: compiled plans walk operand paths over the index
+	// columns, so on the default path this stays near zero.
 	Simple CacheCounter
 	// Value always reads zero: node values are a column of the shared
 	// Index (index.go), so there is no per-evaluator memo to count. The
@@ -37,7 +39,9 @@ type CacheStats struct {
 	Value CacheCounter
 	// Extent counts extent memo lookups (per query node + pinned env).
 	Extent CacheCounter
-	// Relay counts equality-join relay-index lookups.
+	// Relay counts equality-join relay-index lookups, on the
+	// interpreted leg only: compiled plans probe value-class tables
+	// instead (exec.go).
 	Relay CacheCounter
 	// Plan counts compiled-plan lookups: a hit served an extent from an
 	// already compiled program (shared or local), a miss compiled one

@@ -35,8 +35,10 @@ func FuzzParseQuery(f *testing.F) {
 // against: small enough to bound per-input work, varied enough
 // (attributes, text, repeated labels, join keys) to reach paths,
 // predicates, and relay joins. Its edge values sit on the boundary of
-// number atomization: padded digits, exponent and special-value
-// spellings, a signed zero, a digit-led date, and digit-led text.
+// number atomization and of equality: padded and zero-led digits,
+// exponent, overflowing and special-value spellings, a signed zero, a
+// digit-led date, and digit-led text — so joins on @key, price and pid
+// meet values equal as numbers but not as text, and NaN.
 var fuzzDoc = xmldoc.MustParse(`<r><items>` +
 	`<item key="k1"><price>10</price><tag>t</tag></item>` +
 	`<item key="k2"><price>20</price><tag>u</tag></item>` +
@@ -45,7 +47,9 @@ var fuzzDoc = xmldoc.MustParse(`<r><items>` +
 	`<item key="nan"><price>nan</price><tag>Inf</tag></item>` +
 	`<item key="-0"><price>-0</price><tag>07/05/2000</tag></item>` +
 	`<item key="k4"><price>12 apples</price><tag>1e3</tag></item>` +
-	`</items><ppl><p><pid>k1</pid></p><p><pid>k3</pid></p><p><pid>-0</pid></p></ppl></r>`)
+	`<item key="07"><price>1000</price><tag>1e400</tag></item>` +
+	`</items><ppl><p><pid>k1</pid></p><p><pid>k3</pid></p><p><pid>-0</pid></p>` +
+	`<p><pid>7</pid><pid>1e3</pid><pid>1</pid><pid>k1</pid></p><p><pid>0</pid></p><p><pid>nan</pid></p></ppl></r>`)
 
 // FuzzCompiledExtent: every query the parser accepts must produce
 // node-for-node identical extents under the naive interpreter and the
@@ -60,6 +64,10 @@ func FuzzCompiledExtent(f *testing.F) {
 		`for $i in /r/items/item where some $w in document()/r/ppl/p satisfies (data($w/pid) = data($i/@key)) return <o>$i</o>`,
 		`for $i in /r/items return <o>{for $j in $i/item where not(empty(data($j/tag))) return $j}</o>`,
 		`for $i in /r//price where data($i) * 0.5 >= 10 return <o>$i</o>`,
+		`for $p in /r/ppl/p return <o>{for $i in /r/items/item where data($i/@key) = data($p/pid) return $i}</o>`,
+		`for $p in /r/ppl/p return <o>{for $i in /r/items/item where data($i/price) = data($p/pid) * 1000 return $i}</o>`,
+		`for $i in /r/items/item where some $w in document()/r/ppl/p satisfies (data($w/pid) = data($i/price) and data($w/pid) = data($i/@key)) return <o>$i</o>`,
+		`for $i in /r/items/item where not(some $w in document()/r/ppl/p satisfies (data($w/pid) = data($i/tag) * 0.001)) return <o>$i</o>`,
 	} {
 		f.Add(seed)
 	}
@@ -125,6 +133,11 @@ func FuzzCompiledResult(f *testing.F) {
 		`for $i in /r/items return <o>{for $j in $i/item order by $j/price descending return <p>{for $k in $j/tag return $k}</p>}</o>`,
 		`for $i in /r/items/item where some $w in document()/r/ppl/p satisfies (data($w/pid) = data($i/@key)) return <o>$i/price</o>`,
 		`for $i in /r/items/item where data($i/price) >= 7 return <v>(data($i/price) * 2)</v>`,
+		`for $p in /r/ppl/p return <o>{for $i in /r/items/item where data($i/tag) = data($p/pid) and data($i/price) != "x" return $i/price}</o>`,
+		`for $i in /r/items/item where some $w in document()/r/ppl/p satisfies (data($w/pid) = "7") return <o>$i/@key</o>`,
+		`for $i in /r/items return <o>{for $j in $i/item where some $w in $i/item satisfies (data($w/price) * 2 = data($j/price) * 2) return $j/@key}</o>`,
+		`for $q in /r/ppl/p return <o>{for $p in /r/ppl/p where data($p/pid) = data($q/pid) return $p}</o>`,
+		`for $p in /r/ppl/p return <o>{for $i in /r/items/item where data($i/tag) < data($p/pid) * 2 return $i/tag}</o>`,
 	} {
 		f.Add(seed)
 	}

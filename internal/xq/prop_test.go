@@ -304,3 +304,56 @@ func TestThreeWayExtentInvalidation(t *testing.T) {
 		})
 	}
 }
+
+// TestValueClassesMatchCompare checks the value-class column against
+// compareValues(OpEq): every node pair of the differential fuzz
+// document and of each paper instance, and sampled pairs of a 4x XMark
+// instance (each node with the 64 after it, plus an exhaustive
+// grouping).
+func TestValueClassesMatchCompare(t *testing.T) {
+	xq.CheckValueClasses(t, xq.FuzzDoc, 0)
+	var scens []*scenario.Scenario
+	scens = append(scens, xmark.Scenarios()...)
+	scens = append(scens, xmp.Scenarios()...)
+	scens = append(scens, ucr.Scenarios()...)
+	seen := map[*xmldoc.Document]bool{}
+	for _, s := range scens {
+		if doc := s.Doc(); !seen[doc] {
+			seen[doc] = true
+			xq.CheckValueClasses(t, doc, 0)
+		}
+	}
+	if testing.Short() {
+		t.Skip("4x instance")
+	}
+	xq.CheckValueClasses(t, largeXMark(100), 64)
+}
+
+// TestEqualityJoinsMatchNaive runs the three-way comparison on the
+// equality joins the compiled executor answers by class probes, over
+// the fuzz document's edge values (" 7 "/7/07, 1e3/1000, nan, -0/0,
+// Inf, 1e400, a date, digit-led text): a level joined to an outer
+// binding from either side and with several values per side (so one
+// candidate sits in several probed classes, out of order), a scaled
+// outer side, a scaled value compared as text, document-rooted relays keyed by outer values, by a
+// constant and by a scaled value, a negated relay, and a relay from a
+// binding, which is not probed.
+func TestEqualityJoinsMatchNaive(t *testing.T) {
+	for _, src := range []string{
+		`for $p in /r/ppl/p return <o>{for $i in /r/items/item where data($i/@key) = data($p/pid) return $i}</o>`,
+		`for $i in /r/items/item return <o>{for $p in /r/ppl/p where data($p/pid) = data($i/price) return $p}</o>`,
+		`for $q in /r/ppl/p return <o>{for $p in /r/ppl/p where data($p/pid) = data($q/pid) return $p}</o>`,
+		`for $p in /r/ppl/p return <o>{for $i in /r/items/item where data($i/tag) < data($p/pid) * 2 return $i/tag}</o>`,
+		`for $p in /r/ppl/p return <o>{for $i in /r/items/item where data($i/price) = data($p/pid) and data($i/tag) != "u" return $i/tag}</o>`,
+		`for $p in /r/ppl/p return <o>{for $i in /r/items/item where data($i/price) = data($p/pid) * 1000 return $i}</o>`,
+		`for $p in /r/ppl/p return <o>{for $i in /r/items/item where some $w in document()/r/ppl/p satisfies (data($w/pid) = data($i/@key) and data($w/pid) = data($p/pid)) return $i/@key}</o>`,
+		`for $i in /r/items/item where some $w in document()/r/items/item satisfies (data($w/tag) = "1e3" and data($w/@key) = data($i/price)) return <o>$i</o>`,
+		`for $i in /r/items/item where some $w in document()/r/ppl/p satisfies (data($w/pid) = data($i/tag) * 0.001) return <o>$i</o>`,
+		`for $i in /r/items/item where not(some $w in document()/r/ppl/p satisfies (data($w/pid) = data($i/price))) return <o>$i</o>`,
+		`for $s in /r/ppl return <o>{for $i in /r/items/item where some $w in $s/p satisfies (data($w/pid) = data($i/@key)) return $i}</o>`,
+	} {
+		t.Run(src, func(t *testing.T) {
+			checkLegs(t, xq.FuzzDoc, xq.MustParseQuery(src))
+		})
+	}
+}
