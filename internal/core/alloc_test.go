@@ -4,9 +4,13 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/pathre"
 	"repro/internal/xmldoc"
+	"repro/internal/xq"
 )
 
 // TestReducedWaveAllocs pins the steady-state allocation cost of the
@@ -78,5 +82,48 @@ func TestReducedWaveAllocs(t *testing.T) {
 	if allocs > 1 {
 		t.Errorf("a wave of %d reduced queries allocates %.1f objects, want <= 1 (the answer slice)",
 			len(words), allocs)
+	}
+}
+
+// TestHypothesisExtentAllocs pins the condition checks of the
+// P-Learner's hypothesis extent: once the conjunction is compiled and
+// its probe tables are built, a repeat extent allocates only the
+// returned slice — nothing per candidate node, whatever the
+// predicates (here a relay join answered by a class probe, a negated
+// comparison and a scaled one).
+func TestHypothesisExtentAllocs(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("<site><people>")
+	for i := 0; i < 50; i++ {
+		fmt.Fprintf(&b, `<person id="p%d"><age>%d</age></person>`, i, 20+i)
+	}
+	b.WriteString("</people><items>")
+	for i := 0; i < 200; i++ {
+		fmt.Fprintf(&b, `<item><seller person="p%d"/><price>%d</price></item>`, i%100, i)
+	}
+	b.WriteString("</items></site>")
+	doc := xmldoc.MustParse(b.String())
+	tree := xq.MustParseQuery(`for $x in /site/items/item where ` +
+		`some $w in document()/site/people/person satisfies (data($w/@id) = data($x/seller/@person)) and ` +
+		`not(data($x/price) = "7") and data($x/price) * 2 >= 10 return $x`)
+	eng := NewEngine(doc, nil, DefaultOptions())
+	items := doc.Root().ChildElementsNamed("items")[0].ChildElementsNamed("item")
+	var fs FragmentStats
+	p := newPLearner(context.Background(), eng, FragmentRef{Var: "x", AnchorVar: "x"},
+		map[string]*xmldoc.Node{}, map[string]*xmldoc.Node{}, items[0], 0, &fs)
+	p.clearner.conds = map[string]*xq.Pred{}
+	p.clearner.changed()
+	p.explicit = tree.VarNode("x").Where
+	h := pathre.Compile(pathre.Seq("site", "items", "item"), eng.alphabet)
+	// Sellers p0..p49 exist (items 0-49 and 100-149), prices 0-4 fail
+	// the scaled test and item 7 the negated one.
+	const want = 94
+	if got := len(p.hypothesisExtent(h)); got != want {
+		t.Fatalf("hypothesis extent has %d nodes, want %d", got, want)
+	}
+	allocs := testing.AllocsPerRun(50, func() { p.hypothesisExtent(h) })
+	if allocs > 1 {
+		t.Errorf("a warm hypothesis extent over %d candidates allocates %.1f objects, want <= 1 (the result)",
+			len(items), allocs)
 	}
 }

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/datagraph"
 	"repro/internal/xmldoc"
@@ -20,6 +20,11 @@ type cLearner struct {
 	ve     string
 	inited bool
 	conds  map[string]*xq.Pred
+	// preds is conds in key order, rebuilt only after conds changes;
+	// gen counts those changes, so a caller holding a compiled form of
+	// the conjunction knows when to recompile.
+	preds []*xq.Pred
+	gen   int
 }
 
 func newCLearner(g *datagraph.Graph, ctx map[string]*xmldoc.Node, ve string) *cLearner {
@@ -34,29 +39,44 @@ func (c *cLearner) Observe(anchor *xmldoc.Node) {
 		for _, p := range cand {
 			c.conds[p.Key()] = p
 		}
+		c.changed()
 		return
 	}
 	keep := map[string]bool{}
 	for _, p := range cand {
 		keep[p.Key()] = true
 	}
+	n := len(c.conds)
 	for k := range c.conds {
 		if !keep[k] {
 			delete(c.conds, k)
 		}
 	}
+	if len(c.conds) != n {
+		c.changed()
+	}
 }
 
-// Preds returns the current conjunction in deterministic order.
+// changed drops the ordered conjunction after conds changes.
+func (c *cLearner) changed() {
+	c.preds = nil
+	c.gen++
+}
+
+// Preds returns the current conjunction in key order. The slice is
+// shared until the conjunction next changes; callers must not modify
+// it.
 func (c *cLearner) Preds() []*xq.Pred {
-	keys := make([]string, 0, len(c.conds))
-	for k := range c.conds {
-		keys = append(keys, k)
+	if c.preds == nil && len(c.conds) > 0 {
+		keys := make([]string, 0, len(c.conds))
+		for k := range c.conds {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		c.preds = make([]*xq.Pred, len(keys))
+		for i, k := range keys {
+			c.preds[i] = c.conds[k]
+		}
 	}
-	sort.Strings(keys)
-	out := make([]*xq.Pred, len(keys))
-	for i, k := range keys {
-		out[i] = c.conds[k]
-	}
-	return out
+	return c.preds
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
+	"slices"
 	"strings"
 	"sync"
 
@@ -621,54 +623,137 @@ func labelsBetween(a, n *xmldoc.Node) []string {
 // exactly, while a predicate that matters in some other context — like
 // the category join, coincidentally redundant in the learning context —
 // is kept.
+//
+// The greedy pass tries dropping each kept predicate in order and keeps
+// the drop when the leaf extent under every assignment stays what it is
+// with all of preds. One enumeration per assignment decides every
+// trial: the leaf's plan runs with the anchor's Where lifted out, and
+// each leaf binding carries the bits of the predicates its anchor
+// satisfies (xq.CondExtent). A binding outside the full extent is a
+// witness; a trial set changes some extent exactly when a witness's
+// bits cover it, since the trial extent holds the bindings whose bits
+// do. A witness that fails one predicate alone covers every trial
+// dropping that predicate, so once each predicate has such a witness
+// every trial fails, and the remaining assignments are not enumerated.
 func (e *Engine) minimizeConds(ctx context.Context, tree *xq.Tree, f *fragment, preds []*xq.Pred) error {
+	if len(preds) == 0 {
+		return nil
+	}
 	assignments, err := e.eval.Assignments(ctx, tree, f.xqAnchor)
 	if err != nil {
 		return err
 	}
-	extents := func(ps []*xq.Pred) ([][]*xmldoc.Node, error) {
-		f.xqAnchor.Where = ps
-		// The trial mutates a tree the evaluator has memoized extents
-		// for; drop them so every trial is computed against its own
-		// predicate set.
-		e.eval.InvalidateExtents()
-		out := make([][]*xmldoc.Node, len(assignments))
-		for i, env := range assignments {
-			ext, err := e.eval.Extent(ctx, tree, f.xqLeaf, env)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = ext
-		}
-		return out, nil
-	}
-	full, err := extents(preds)
+	ce, err := e.eval.CompileCondExtent(f.xqLeaf, f.xqAnchor)
 	if err != nil {
 		return err
 	}
-	kept := append([]*xq.Pred{}, preds...)
-	for i := 0; i < len(kept); {
-		trial := append(append([]*xq.Pred{}, kept[:i]...), kept[i+1:]...)
-		trialExts, err := extents(trial)
-		if err != nil {
+	all := newMask(len(preds))
+	for k := range preds {
+		all.set(k)
+	}
+	// open counts the predicates without a witness failing them alone;
+	// such a witness's bits are all but that predicate's, so the
+	// deduplicated witnesses meet each at most once.
+	wit, open := maskSet{words: len(all)}, len(preds)
+	var hits xq.CondHits
+	for _, env := range assignments {
+		if hits, err = e.eval.CondExtent(ctx, ce, env, hits); err != nil {
 			return err
 		}
-		same := true
-		for j, ext := range trialExts {
-			if !sameNodes(ext, full[j]) {
-				same = false
-				break
+		// Entries are grouped by node: a node is in the full extent when
+		// one of its derivations passes every predicate.
+		for lo := 0; lo < len(hits.Nodes); {
+			hi, full := lo, false
+			for ; hi < len(hits.Nodes) && hits.Nodes[hi] == hits.Nodes[lo]; hi++ {
+				full = full || all.coveredBy(hits.Mask(hi))
 			}
+			for ; !full && lo < hi; lo++ {
+				if wit.add(hits.Mask(lo)) && all.missesOne(hits.Mask(lo)) {
+					open--
+				}
+			}
+			lo = hi
 		}
-		if same {
-			kept = trial
-			continue
+		if open == 0 {
+			break
 		}
-		i++
+	}
+	// The greedy pass tries each predicate once, in order, against
+	// what it has kept so far.
+	keep := append(mask(nil), all...)
+	kept := []*xq.Pred{}
+	for k, p := range preds {
+		keep.clear(k)
+		if wit.anyCovers(keep) {
+			keep.set(k)
+			kept = append(kept, p)
+		}
 	}
 	f.xqAnchor.Where = kept
 	e.eval.InvalidateExtents()
+	if minimized != nil {
+		minimized(ctx, e, tree, f, preds)
+	}
 	return nil
+}
+
+// minimized, when set (by tests), sees every minimizeConds call that
+// had predicates to decide, after the decision: f's anchor holds the
+// kept predicates, preds is what the call started from.
+var minimized func(ctx context.Context, e *Engine, tree *xq.Tree, f *fragment, preds []*xq.Pred)
+
+// mask is a set of predicate indices, bit k of word k/64 for index k.
+type mask []uint64
+
+func newMask(n int) mask   { return make(mask, (n+63)/64) }
+func (m mask) set(k int)   { m[k/64] |= 1 << (k % 64) }
+func (m mask) clear(k int) { m[k/64] &^= 1 << (k % 64) }
+
+// missesOne reports whether b lacks exactly one index of m.
+func (m mask) missesOne(b []uint64) bool {
+	n := 0
+	for w, x := range m {
+		n += bits.OnesCount64(x &^ b[w])
+	}
+	return n == 1
+}
+
+// coveredBy reports whether b holds every index of m.
+func (m mask) coveredBy(b []uint64) bool {
+	for w, x := range m {
+		if b[w]&x != x {
+			return false
+		}
+	}
+	return true
+}
+
+// maskSet is a deduplicated list of equal-width bitsets. Witnesses of
+// k predicates take at most 2^k - 1 distinct values, and k is small.
+type maskSet struct {
+	words int
+	flat  []uint64
+}
+
+// add adds b unless s holds it already, reporting whether it did.
+func (s *maskSet) add(b []uint64) bool {
+	for i := 0; i < len(s.flat); i += s.words {
+		if slices.Equal(s.flat[i:i+s.words], b) {
+			return false
+		}
+	}
+	s.flat = append(s.flat, b...)
+	return true
+}
+
+// anyCovers reports whether some bitset of s holds every index of m.
+func (s *maskSet) anyCovers(m mask) bool {
+	for i := 0; i < len(s.flat); i += s.words {
+		if m.coveredBy(s.flat[i : i+s.words]) {
+			return true
+		}
+	}
+	return false
 }
 
 // trimDFA intersects the learned DFA with the instance's realized-path

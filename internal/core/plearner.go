@@ -1,11 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -110,6 +110,20 @@ type pLearner struct {
 	explicit  []*xq.Pred
 	positives []*xmldoc.Node
 
+	// conds is the conjunction condsHold checks — the C-Learner's
+	// predicates, then the explicit ones — compiled over condVals'
+	// slots: the context anchors in name order, then the fragment's
+	// anchor variable (anchorSlot) and its own (varSlot), which condsHold
+	// fills per candidate. condGen and condN are the C-Learner
+	// generation and explicit count it was compiled at.
+	conds               *xq.Conds
+	condGen, condN      int
+	condVars            []string
+	condVals            []*xmldoc.Node
+	anchorSlot, varSlot int
+	// hypBuf is hypothesisExtent's scratch.
+	hypBuf []*xmldoc.Node
+
 	// structural implements the paper's navigational binding prior
 	// (depends(n) = ancestors(n), Section 7): when the dropped example
 	// lies inside a context anchor's subtree, the fragment is assumed to
@@ -151,6 +165,24 @@ func newPLearner(ctx context.Context, eng *Engine, frag FragmentRef, pinCtx, con
 		}
 	}
 	p.structural = p.relAnchor != nil
+	for k := range condCtx {
+		if k != frag.AnchorVar && k != frag.Var {
+			p.condVars = append(p.condVars, k)
+		}
+	}
+	slices.Sort(p.condVars)
+	for _, k := range p.condVars {
+		p.condVals = append(p.condVals, condCtx[k])
+	}
+	p.anchorSlot = len(p.condVars)
+	p.condVars = append(p.condVars, frag.AnchorVar)
+	p.condVals = append(p.condVals, nil)
+	p.varSlot = p.anchorSlot
+	if frag.Var != frag.AnchorVar {
+		p.varSlot++
+		p.condVars = append(p.condVars, frag.Var)
+		p.condVals = append(p.condVals, nil)
+	}
 	p.addPositive(example)
 	return p
 }
@@ -236,25 +268,17 @@ func (p *pLearner) addPositive(n *xmldoc.Node) {
 }
 
 // condsHold evaluates the learned conjunction plus explicit predicates
-// for extent candidate n.
+// for extent candidate n, with the context anchors bound as in
+// condCtx, the fragment's anchor variable to n's anchor and its own
+// variable to n.
 func (p *pLearner) condsHold(n *xmldoc.Node) bool {
-	env := xq.Env{}
-	for k, v := range p.condCtx {
-		env[k] = v
+	if p.conds == nil || p.condGen != p.clearner.gen || p.condN != len(p.explicit) {
+		p.conds = p.eng.eval.CompileConds(p.condVars, slices.Concat(p.clearner.Preds(), p.explicit))
+		p.condGen, p.condN = p.clearner.gen, len(p.explicit)
 	}
-	env[p.frag.AnchorVar] = p.anchor(n)
-	env[p.frag.Var] = n
-	for _, pr := range p.clearner.Preds() {
-		if !p.eng.eval.PredHolds(pr, env) {
-			return false
-		}
-	}
-	for _, pr := range p.explicit {
-		if !p.eng.eval.PredHolds(pr, env) {
-			return false
-		}
-	}
-	return true
+	p.condVals[p.anchorSlot] = p.anchor(n)
+	p.condVals[p.varSlot] = n
+	return p.eng.eval.CondsHold(p.conds, p.condVals)
 }
 
 // memberID implements the L* membership oracle for one query, the word
@@ -454,7 +478,7 @@ func (p *pLearner) hypothesisExtent(h *pathre.DFA) []*xmldoc.Node {
 		p.hypPaths = p.eng.acceptedPaths(p.hypPaths[:0], h)
 	}
 	ix := p.eng.eval.Index()
-	var out []*xmldoc.Node
+	out := p.hypBuf[:0]
 	for _, i := range p.hypPaths {
 		for _, n := range p.eng.paths[i].Nodes {
 			if p.structural && !ix.Ancestor(p.relAnchor, n) {
@@ -466,11 +490,15 @@ func (p *pLearner) hypothesisExtent(h *pathre.DFA) []*xmldoc.Node {
 		}
 	}
 	sortByID(out)
-	return out
+	p.hypBuf = out
+	if len(out) == 0 {
+		return nil
+	}
+	return slices.Clone(out)
 }
 
 func sortByID(nodes []*xmldoc.Node) {
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
+	slices.SortFunc(nodes, func(a, b *xmldoc.Node) int { return cmp.Compare(a.ID, b.ID) })
 }
 
 // Equivalent implements the L* equivalence oracle at the extent level:

@@ -68,6 +68,10 @@ type compileArena struct {
 	// opened. An arena that is never reset — NewTreePlan's — keeps every
 	// one of them alive through its plans (TreePlan.ApproxBytes).
 	bytes int
+	// gen counts resets. A compiled handle that outlives its caller's
+	// view of the plans (Conds, CondExtent) records the generation it
+	// was carved in and recompiles when the arena has moved on.
+	gen uint64
 }
 
 // reset truncates every carver to the start of its current chunk,
@@ -85,6 +89,7 @@ func (a *compileArena) reset() {
 	clear(a.vals[:cap(a.vals)])
 	a.vals = a.vals[:0]
 	a.probes, a.relays = nil, nil
+	a.gen++
 }
 
 // carveLevels carves n zeroed levelPlan entries from the arena. The

@@ -204,6 +204,10 @@ type Evaluator struct {
 	// comp is the plan compiler's scratch arena (compilearena.go); it
 	// resets exactly when plans drops.
 	comp compileArena
+	// predMemo is PredHolds' last compiled predicate (conds.go), and
+	// predVals its slot values.
+	predMemo *Conds
+	predVals []*xmldoc.Node
 	// stats counts cache hits/misses (cachestats.go); snapshot with
 	// CacheStats.
 	stats CacheStats
@@ -473,11 +477,6 @@ func (e *Evaluator) atomHolds(a Cmp, sc *scope) bool {
 		}
 	}
 	return false
-}
-
-// PredHolds evaluates a predicate under env.
-func (e *Evaluator) PredHolds(p *Pred, env Env) bool {
-	return e.predHolds(p, scopeOf(env))
 }
 
 func (e *Evaluator) predHolds(p *Pred, sc *scope) bool {

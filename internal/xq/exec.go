@@ -36,13 +36,21 @@ type execArena struct {
 	keys, relay   []int32
 	// steps holds sortByKeys' compiled key paths (outside execExtent).
 	steps []stepPlan
+	// lift is the CondExtent being run, nil otherwise. Its run emits
+	// into hits and masks instead of out: each binding with the
+	// condition bits of its lifted level's candidate, held in mask
+	// while the levels below it enumerate.
+	lift        *CondExtent
+	hits        []*xmldoc.Node
+	mask, masks []uint64
 }
 
 // capSum totals the arena's buffer capacities; an unchanged sum across
 // a run means the run grew no buffer.
 func (a *execArena) capSum() int {
 	n := cap(a.env) + cap(a.out) + cap(a.sel) + cap(a.pos) + cap(a.walk) + cap(a.front) +
-		cap(a.ids) + cap(a.lhs) + cap(a.rhs) + cap(a.keys) + cap(a.relay)
+		cap(a.ids) + cap(a.lhs) + cap(a.rhs) + cap(a.keys) + cap(a.relay) +
+		cap(a.hits) + cap(a.mask) + cap(a.masks)
 	for _, s := range a.sel {
 		n += cap(s)
 	}
@@ -74,17 +82,25 @@ func (e *Evaluator) execExtent(ctx context.Context, p *nodePlan, pinned Env) ([]
 
 // execLevel enumerates level i's candidates, filters them through the
 // level's predicates, and recurses; the innermost level emits the
-// plan's own binding. The context is checked per level entry — the
-// same cancellation granularity as the interpreted enumeration.
+// plan's own binding. The context is checked each time a level starts
+// enumerating — once per level entry, the granularity of the
+// interpreted enumeration — but not per emitted binding. A CondExtent
+// run emits every binding with its condition bits, without
+// deduplication.
 func (e *Evaluator) execLevel(ctx context.Context, p *nodePlan, i int, pinned Env, seen *seenSet) error {
-	if err := ctxErr(ctx); err != nil {
-		return err
-	}
 	if i == len(p.levels) {
-		if b := e.exe.env[i-1]; seen.mark(b.ID) {
+		b := e.exe.env[i-1]
+		switch {
+		case e.exe.lift != nil:
+			e.exe.hits = append(e.exe.hits, b)
+			e.exe.masks = append(e.exe.masks, e.exe.mask...)
+		case seen.mark(b.ID):
 			e.exe.out = append(e.exe.out, b)
 		}
 		return nil
+	}
+	if err := ctxErr(ctx); err != nil {
+		return err
 	}
 	lv := &p.levels[i]
 	pin, pinOK := pinned[lv.varName]
@@ -95,6 +111,9 @@ func (e *Evaluator) execLevel(ctx context.Context, p *nodePlan, i int, pinned En
 		e.exe.env[i] = c
 		if !e.levelPredsHold(lv) {
 			continue
+		}
+		if l := e.exe.lift; l != nil && i == l.level {
+			e.condBits(l.bits)
 		}
 		if err := e.execLevel(ctx, p, i+1, pinned, seen); err != nil {
 			return err

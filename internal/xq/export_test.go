@@ -6,10 +6,11 @@ import "repro/internal/xmldoc"
 // external tests that check it against NodeValue on generated instances.
 func IndexValue(ix *Index, n *xmldoc.Node) Value { return ix.value(n) }
 
-// CheckValueClasses and FuzzDoc serve the external value-class test,
-// which also covers the paper instances (importing them here would be
-// a cycle).
+// CheckValueClasses, CheckConds and FuzzDoc serve the external
+// value-class and condition-check tests, which also cover the paper
+// instances (importing them here would be a cycle).
 var (
 	CheckValueClasses = checkValueClasses
+	CheckConds        = checkConds
 	FuzzDoc           = fuzzDoc
 )

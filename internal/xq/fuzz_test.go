@@ -55,7 +55,9 @@ var fuzzDoc = xmldoc.MustParse(`<r><items>` +
 // node-for-node identical extents under the naive interpreter and the
 // compiled plan/execute path, for every bound variable, unpinned and
 // pinned — the differential oracle for the plan compiler and arena
-// executor.
+// executor. Its where clauses must also answer the same under the
+// compiled condition checks (Conds, PredHolds) as under the naive
+// PredHolds, binding by binding.
 func FuzzCompiledExtent(f *testing.F) {
 	for _, seed := range []string{
 		`for $i in /r/items/item return <o>$i</o>`,
@@ -68,6 +70,9 @@ func FuzzCompiledExtent(f *testing.F) {
 		`for $p in /r/ppl/p return <o>{for $i in /r/items/item where data($i/price) = data($p/pid) * 1000 return $i}</o>`,
 		`for $i in /r/items/item where some $w in document()/r/ppl/p satisfies (data($w/pid) = data($i/price) and data($w/pid) = data($i/@key)) return <o>$i</o>`,
 		`for $i in /r/items/item where not(some $w in document()/r/ppl/p satisfies (data($w/pid) = data($i/tag) * 0.001)) return <o>$i</o>`,
+		`for $i in /r/items/item where not(data($i/price) = " 7 ") and data($i/@key) != "nan" return <o>$i</o>`,
+		`for $p in /r/ppl/p return <o>{for $i in /r/items/item where not(some $w in $p/pid satisfies (data($w) = data($i/price))) and data($i/tag) = "1e3" return $i}</o>`,
+		`for $i in /r/items/item where some $w in document()/r/items/item satisfies (data($w/price) = "-0" and data($w/@key) = data($i/@key)) return <o>$i</o>`,
 	} {
 		f.Add(seed)
 	}
@@ -114,6 +119,7 @@ func FuzzCompiledExtent(f *testing.F) {
 				}
 			}
 		}
+		checkConds(t, fuzzDoc, tree, 8, 16)
 	})
 }
 

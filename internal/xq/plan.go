@@ -191,8 +191,10 @@ func (t *classTable) bytes() int {
 
 // compileExtent lowers n's extent computation into a nodePlan, or nil
 // when the node cannot be compiled (a chain node without a binding
-// path); callers fall back to the interpreter on nil.
-func (e *Evaluator) compileExtent(n *Node) *nodePlan {
+// path); callers fall back to the interpreter on nil. A non-nil lift
+// names a node of n's binding chain whose level the plan does not
+// filter: a CondExtent compiles that Where clause into condition bits.
+func (e *Evaluator) compileExtent(n, lift *Node) *nodePlan {
 	chain := n.BindingChain()
 	if len(chain) == 0 {
 		return nil
@@ -200,16 +202,7 @@ func (e *Evaluator) compileExtent(n *Node) *nodePlan {
 	// The executor walks operand paths over the index columns.
 	e.Index()
 	p := &nodePlan{levels: e.carveLevels(len(chain)), relaySlot: len(chain)}
-	// slotOf resolves a variable reference visible at chain level upto:
-	// nearest (deepest) binding wins, matching scope.lookup.
-	slotOf := func(name string, upto int) int {
-		for j := upto; j >= 0; j-- {
-			if chain[j].Var == name {
-				return j
-			}
-		}
-		return slotUnresolved
-	}
+	slotOf := func(name string, upto int) int { return chainSlot(chain, name, upto) }
 	for i, cn := range chain {
 		if cn.Path == nil {
 			return nil
@@ -231,6 +224,9 @@ func (e *Evaluator) compileExtent(n *Node) *nodePlan {
 			lv.expr = cn.Path
 			lv.exprStr, lv.dfa = e.dfaKeyed(cn.Path)
 		}
+		if cn == lift {
+			continue
+		}
 		lv.preds = e.carvePreds(len(cn.Where))
 		for k, pr := range cn.Where {
 			lv.preds[k] = e.compilePred(pr, i, p.relaySlot, slotOf)
@@ -240,6 +236,18 @@ func (e *Evaluator) compileExtent(n *Node) *nodePlan {
 		}
 	}
 	return p
+}
+
+// chainSlot resolves a variable reference visible at level upto of a
+// binding chain: the nearest (deepest) binding wins, matching
+// scope.lookup.
+func chainSlot(chain []*Node, name string, upto int) int {
+	for j := upto; j >= 0; j-- {
+		if chain[j].Var == name {
+			return j
+		}
+	}
+	return slotUnresolved
 }
 
 // levelProbe picks the first OpEq atom of a plain, unnegated predicate
@@ -428,7 +436,7 @@ func (e *Evaluator) planFor(n *Node) *nodePlan {
 		e.plans = nil
 		e.comp.reset()
 	}
-	p := e.compileExtent(n)
+	p := e.compileExtent(n, nil)
 	if e.plans == nil {
 		e.plans = map[*Node]*nodePlan{}
 	}
@@ -462,7 +470,7 @@ func NewTreePlan(ix *Index, t *Tree) *TreePlan {
 		if n.Var == "" {
 			continue
 		}
-		if p := ev.compileExtent(n); p != nil {
+		if p := ev.compileExtent(n, nil); p != nil {
 			tp.nodes[n] = p
 		}
 	}

@@ -357,3 +357,32 @@ func TestEqualityJoinsMatchNaive(t *testing.T) {
 		})
 	}
 }
+
+// TestCondsMatchNaive compares the compiled condition checks — Conds
+// over slot values and PredHolds — with the naive interpreter's
+// PredHolds on every predicated variable of every scenario's truth and
+// golden learned tree, and, unless -short, of the XMark trees on a 4x
+// instance (a sample of assignments and candidates there).
+func TestCondsMatchNaive(t *testing.T) {
+	var scens []*scenario.Scenario
+	scens = append(scens, xmark.Scenarios()...)
+	scens = append(scens, xmp.Scenarios()...)
+	scens = append(scens, ucr.Scenarios()...)
+	for _, s := range scens {
+		t.Run(s.ID, func(t *testing.T) {
+			doc := s.Doc()
+			xq.CheckConds(t, doc, s.Truth(), 64, 256)
+			xq.CheckConds(t, doc, goldenTree(t, s.ID), 64, 256)
+		})
+	}
+	if testing.Short() {
+		t.Skip("4x instance")
+	}
+	doc := largeXMark(100)
+	for _, s := range xmark.Scenarios() {
+		t.Run("4x/"+s.ID, func(t *testing.T) {
+			xq.CheckConds(t, doc, s.Truth(), 8, 128)
+			xq.CheckConds(t, doc, goldenTree(t, s.ID), 8, 128)
+		})
+	}
+}
