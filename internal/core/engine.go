@@ -18,11 +18,10 @@ import (
 // Engine is the learning machinery of one XLearner session over one
 // source document.
 //
-// An Engine is NOT goroutine-safe: the path index, the evaluator's DFA
-// cache, and the realized-path DFA are mutated during Learn. It shares
-// no unsynchronized mutable state with other Engine instances, though —
-// xmldoc documents are read-only after parsing, every cache here is
-// per-instance, and the shared artifacts an engine may adopt (index,
+// An Engine is NOT goroutine-safe: the path index and the evaluator's
+// DFA cache are mutated during Learn. It shares no unsynchronized
+// mutable state with other Engine instances, though — xmldoc documents
+// are read-only after parsing, every cache here is per-instance, and the shared artifacts an engine may adopt (index,
 // data graph, plan) are either immutable or internally synchronized —
 // so independent Engines (one per Session) may run concurrently over
 // the same or different documents.
@@ -43,8 +42,6 @@ type Engine struct {
 	// (xq.SortRootPaths): the shared index's table when the session
 	// adopted one, else built by the engine's own walk. Read-only.
 	paths []xq.RootPath
-	// realized caches the DFA of the instance's realized paths.
-	realized *pathre.DFA
 
 	// Batched-protocol state (see batched.go). batch is the teacher's
 	// batch form, set only when Opts.Batched and the teacher implements
@@ -442,14 +439,13 @@ func (e *Engine) learnFragment(ctx context.Context, tree *xq.Tree, f *fragment, 
 	}
 	// The hypothesis DFA is only constrained on realized paths; trim
 	// never-exercised transitions so the emitted path expression is the
-	// instance-relative language actually confirmed by the user.
-	d = e.trimDFA(d)
-
-	// Split the learned path across the 1-labeled edge.
-	anchorDFA := d
+	// instance-relative language actually confirmed by the user, split
+	// across the 1-labeled edge of a pair.
+	anchorDFA, lasts := e.trim(d, f.pair)
+	if trimmed != nil {
+		trimmed(e, d, f.pair, anchorDFA, lasts)
+	}
 	if f.pair {
-		anchorDFA = d.RightQuotient()
-		lasts := d.LastSymbols()
 		if len(lasts) == 0 {
 			return fmt.Errorf("core: fragment %s learned an empty path language", f.ref.Var)
 		}
@@ -756,28 +752,35 @@ func (s *maskSet) anyCovers(m mask) bool {
 	return false
 }
 
-// trimDFA intersects the learned DFA with the instance's realized-path
-// language. The hypothesis is only constrained on realized paths (MQs
-// on anything else were auto-answered by R1, and extents can't witness
-// them), so the L*-minimal automaton folds arbitrary behavior into the
-// unconstrained region; the intersection is exactly the set of paths
-// the user actually confirmed, and it renders as a readable expression.
-func (e *Engine) trimDFA(d *pathre.DFA) *pathre.DFA {
-	if e.realized == nil {
-		if ix := e.Opts.SharedIndex; ix != nil && ix.Doc() == e.Source {
-			// The engine's path table came from this index's walk, so the
-			// index's cached build is word-for-word the same construction.
-			e.realized = ix.RealizedPathsDFA()
-		} else {
-			words := make([][]string, 0, len(e.paths))
-			for i := range e.paths {
-				words = append(words, e.paths[i].Labels(e.alphabet))
-			}
-			e.realized = pathre.FromStrings(words, e.alphabet)
-		}
+// trim returns the automaton of the instance paths d accepts. The
+// hypothesis is only constrained on realized paths (MQs on anything
+// else were auto-answered by R1, and extents can't witness them), so
+// the L*-minimal automaton folds arbitrary behavior into the
+// unconstrained region; the accepted instance paths are exactly the
+// paths the user confirmed, and their automaton renders as a readable
+// expression. For a pair, it returns instead the automaton of those
+// paths with their last step dropped, and their sorted last labels.
+func (e *Engine) trim(d *pathre.DFA, pair bool) (*pathre.DFA, []string) {
+	accepted := e.acceptedPaths(nil, d)
+	words := make([][]int32, len(accepted))
+	for j, i := range accepted {
+		words[j] = e.paths[i].Pos
 	}
-	return d.Intersect(e.realized)
+	if !pair {
+		return d.FromPositions(words), nil
+	}
+	var lasts []string
+	for j, w := range words {
+		lasts = append(lasts, e.alphabet[w[len(w)-1]])
+		words[j] = w[:len(w)-1]
+	}
+	slices.Sort(lasts)
+	return d.FromPositions(words), slices.Compact(lasts)
 }
+
+// trimmed, when set (by tests), sees every trim of a learned
+// hypothesis d and its result.
+var trimmed func(e *Engine, d *pathre.DFA, pair bool, anchor *pathre.DFA, lasts []string)
 
 func sameNodes(a, b []*xmldoc.Node) bool {
 	if len(a) != len(b) {

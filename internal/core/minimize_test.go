@@ -16,13 +16,43 @@ import (
 
 // TestMinimizeMatchesReference checks condition minimization against
 // the trial loop it replaced (reference_test.go): every fragment must
-// keep the same predicates in the same order. It learns the 38 paper
-// scenarios under both teacher policies and, unless -short, the 19
-// XMark scenarios on the four 4x instances of the benchmark's
-// new-document workload.
+// keep the same predicates in the same order.
 func TestMinimizeMatchesReference(t *testing.T) {
 	mc, detach := core.CheckMinimizeReference()
 	defer detach()
+	learnReferenceScenarios(t)
+	for _, msg := range mc.Errors {
+		t.Error(msg)
+	}
+	t.Logf("minimizeConds calls checked, by predicate count: %v", mc.ByLen)
+	if mc.ByLen[1] == 0 || mc.ByLen[2] == 0 {
+		t.Errorf("calls by predicate count %v: want calls with one and with two predicates", mc.ByLen)
+	}
+}
+
+// TestTrimMatchesReference checks the trim built from the accepted
+// instance paths against the product it replaced (reference_test.go):
+// every fragment's trimmed automaton, and a pair's anchor automaton and
+// last labels, must be the reference's state for state.
+func TestTrimMatchesReference(t *testing.T) {
+	tc, detach := core.CheckTrimReference()
+	defer detach()
+	learnReferenceScenarios(t)
+	for _, msg := range tc.Errors {
+		t.Error(msg)
+	}
+	t.Logf("trims checked: %d plain, %d pair", tc.Plain, tc.Pair)
+	if tc.Plain == 0 || tc.Pair == 0 {
+		t.Errorf("%d plain and %d pair trims: want both kinds", tc.Plain, tc.Pair)
+	}
+}
+
+// learnReferenceScenarios learns the 38 paper scenarios under both
+// teacher policies and, unless -short, the 19 XMark scenarios on the
+// four 4x instances of the benchmark's new-document workload. Every
+// learned query must verify.
+func learnReferenceScenarios(t *testing.T) {
+	t.Helper()
 	ctx := context.Background()
 	run := func(name string, s *scenario.Scenario, pol teacher.Policy) {
 		res, err := scenario.Run(ctx, s, pol)
@@ -62,12 +92,5 @@ func TestMinimizeMatchesReference(t *testing.T) {
 				run(fmt.Sprintf("%s@seed%d", s.ID, seed), &s, teacher.BestCase)
 			}
 		}
-	}
-	for _, msg := range mc.Errors {
-		t.Error(msg)
-	}
-	t.Logf("minimizeConds calls checked, by predicate count: %v", mc.ByLen)
-	if mc.ByLen[1] == 0 || mc.ByLen[2] == 0 {
-		t.Errorf("calls by predicate count %v: want calls with one and with two predicates", mc.ByLen)
 	}
 }

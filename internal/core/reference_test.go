@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/pathre"
 	"repro/internal/xmldoc"
 	"repro/internal/xq"
 )
@@ -117,6 +119,91 @@ func keys(ps []*xq.Pred) []string {
 		out[i] = p.Key()
 	}
 	return out
+}
+
+// referenceTrim is the trim as it was before it was built from the
+// accepted paths: the hypothesis intersected with the automaton of
+// every instance path. A pair fragment split the result with
+// RightQuotient and LastSymbols.
+func referenceTrim(e *Engine, d *pathre.DFA) *pathre.DFA {
+	words := make([][]string, len(e.paths))
+	for i := range e.paths {
+		words[i] = pathLabels(e, i)
+	}
+	return d.Intersect(pathre.FromStrings(words, e.alphabet))
+}
+
+// pathLabels returns the labels of the engine's instance path i.
+func pathLabels(e *Engine, i int) []string {
+	out := make([]string, len(e.paths[i].Pos))
+	for j, a := range e.paths[i].Pos {
+		out[j] = e.alphabet[a]
+	}
+	return out
+}
+
+// TrimChecks counts the trims CheckTrimReference compared, of plain
+// and of pair fragments.
+type TrimChecks struct {
+	mu          sync.Mutex
+	Plain, Pair int
+	Errors      []string
+}
+
+// CheckTrimReference makes every trim of a learned hypothesis also run
+// referenceTrim and record a mismatch unless the trimmed automaton, and
+// for a pair the anchor automaton and the last labels, are the
+// reference's state for state and render the same expression. The
+// returned function detaches the check. Sessions must not run
+// concurrently while it is attached.
+func CheckTrimReference() (*TrimChecks, func()) {
+	tc := &TrimChecks{}
+	trimmed = func(e *Engine, d *pathre.DFA, pair bool, anchor *pathre.DFA, lasts []string) {
+		ref := referenceTrim(e, d)
+		full, _ := e.trim(d, false)
+		var errs []string
+		check := func(what string, got, want *pathre.DFA) {
+			switch g, w := pathre.String(pathre.FromDFA(got)), pathre.String(pathre.FromDFA(want)); {
+			case !got.Equal(want):
+				errs = append(errs, fmt.Sprintf("%s: language differs from the reference's", what))
+			case !sameTables(got, want):
+				errs = append(errs, fmt.Sprintf("%s: same language, other tables than the reference's", what))
+			case g != w:
+				errs = append(errs, fmt.Sprintf("%s: renders %s, reference %s", what, g, w))
+			}
+		}
+		check("trimmed", full, ref)
+		if pair {
+			check("anchor", anchor, ref.RightQuotient())
+			if want := ref.LastSymbols(); !slices.Equal(lasts, want) {
+				errs = append(errs, fmt.Sprintf("last labels %v, reference %v", lasts, want))
+			}
+		} else {
+			check("anchor", anchor, ref)
+		}
+		tc.mu.Lock()
+		defer tc.mu.Unlock()
+		if pair {
+			tc.Pair++
+		} else {
+			tc.Plain++
+		}
+		tc.Errors = append(tc.Errors, errs...)
+	}
+	return tc, func() { trimmed = nil }
+}
+
+// sameTables reports whether a and b agree state for state.
+func sameTables(a, b *pathre.DFA) bool {
+	if a.Start != b.Start || !slices.Equal(a.Alphabet, b.Alphabet) || !slices.Equal(a.Accept, b.Accept) {
+		return false
+	}
+	for q := range a.Trans {
+		if !slices.Equal(a.Trans[q], b.Trans[q]) {
+			return false
+		}
+	}
+	return true
 }
 
 // minDoc carries joinable values, numbers and gaps, so conjuncts of

@@ -1,6 +1,7 @@
-package core_test
+package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -9,59 +10,50 @@ import (
 	"repro/internal/xq"
 )
 
-// TestSharedRealizedDFARace: every session on a bundle shares the
-// index's RealizedPathsDFA, and automata derived from it share its
-// alphabet and symbol index. Eight goroutines intersect, run and
-// render against the one shared automaton at once; under -race this
-// pins that no DFA operation writes shared state (the symbol index is
-// built by every constructor, never lazily on first lookup), and every
+// TestSharedPathDFARace: every evaluator adopting a shared index runs
+// an expression on the one DFA the index compiled for it
+// (Index.PathDFA), and every engine over the index steps automata on
+// the index's root-path table. Eight goroutines, each with its own
+// engine and evaluator over one index, run one shared DFA through the
+// evaluator's root-path scan (PathNodes from the document node) and
+// through acceptedPaths at once, and render it; under -race this pins
+// that neither scan writes the automaton or the path table, and every
 // goroutine must get the serial results.
-func TestSharedRealizedDFARace(t *testing.T) {
-	doc, err := xmldoc.ParseString(sourceXML)
-	if err != nil {
-		t.Fatal(err)
+func TestSharedPathDFARace(t *testing.T) {
+	doc := xmldoc.MustParse(`<site><regions>
+	  <africa><item id="a1"><name>x</name></item></africa>
+	  <europe><item id="e1"><name>y</name><payment>cash</payment></item><item id="e2"/></europe>
+	</regions><people><person id="p1"><name>z</name></person></people></site>`)
+	ix := xq.NewIndex(doc)
+	expr := pathre.MustParsePath("/site/regions/*/item")
+	shared := ix.PathDFA(expr)
+	if ix.PathDFA(expr) != shared {
+		t.Fatal("PathDFA compiled the expression twice")
 	}
-	realized := xq.NewIndex(doc).RealizedPathsDFA()
-	learned := pathre.Compile(pathre.MustParsePath("/site/regions/*/item"), realized.Alphabet)
-	var paths [][]string
-	doc.Walk(func(n *xmldoc.Node) bool {
-		if n.Kind == xmldoc.ElementNode || n.Kind == xmldoc.AttributeNode {
-			paths = append(paths, n.Path())
-		}
-		return true
-	})
-	serial := learned.Intersect(realized)
-	want := pathre.String(pathre.FromDFA(serial))
-	wantAccepted := 0
-	for _, p := range paths {
-		if serial.Accepts(p) {
-			wantAccepted++
-		}
+	opts := DefaultOptions()
+	opts.SharedIndex = ix
+	serial := NewEngine(doc, nil, opts)
+	wantNodes := serial.eval.PathNodes(nil, expr)
+	wantPaths := serial.acceptedPaths(nil, shared)
+	want := pathre.String(pathre.FromDFA(shared))
+	if len(wantNodes) != 3 || len(wantPaths) != 2 {
+		t.Fatalf("serial scans found %d nodes on %d paths, want 3 on 2", len(wantNodes), len(wantPaths))
 	}
 
 	var wg sync.WaitGroup
-	got := make([]string, 8)
-	accepted := make([]int, 8)
-	for g := range got {
+	for g := 0; g < 8; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			trimmed := learned.Intersect(realized)
-			for _, p := range paths {
-				if !realized.Accepts(p) {
-					t.Errorf("goroutine %d: realized path %v rejected", g, p)
-				}
-				if trimmed.Accepts(p) {
-					accepted[g]++
-				}
+			e := NewEngine(doc, nil, opts)
+			nodes := e.eval.PathNodes(nil, expr)
+			paths := e.acceptedPaths(nil, shared)
+			got := pathre.String(pathre.FromDFA(shared))
+			if !slices.Equal(nodes, wantNodes) || !slices.Equal(paths, wantPaths) || got != want {
+				t.Errorf("goroutine %d: %d nodes, paths %v, %q; serial %d nodes, paths %v, %q",
+					g, len(nodes), paths, got, len(wantNodes), wantPaths, want)
 			}
-			got[g] = pathre.String(pathre.FromDFA(trimmed))
-		}(g)
+		}()
 	}
 	wg.Wait()
-	for g := range got {
-		if got[g] != want || accepted[g] != wantAccepted {
-			t.Errorf("goroutine %d: %q accepting %d paths, serial %q accepting %d", g, got[g], accepted[g], want, wantAccepted)
-		}
-	}
 }

@@ -1,15 +1,16 @@
 package pathre
 
-import "sort"
+import "slices"
 
 // nfa is a Thompson-construction automaton with epsilon transitions.
+// States are numbered densely from 0.
 type nfa struct {
 	numStates int
 	start     int
 	accept    int
-	eps       map[int][]int
+	eps       [][]int
 	// edges[state] = transitions; sym == -1 means "any symbol".
-	edges map[int][]nfaEdge
+	edges [][]nfaEdge
 }
 
 type nfaEdge struct {
@@ -17,11 +18,9 @@ type nfaEdge struct {
 	to  int
 }
 
-func newNFA() *nfa {
-	return &nfa{eps: map[int][]int{}, edges: map[int][]nfaEdge{}}
-}
-
 func (m *nfa) state() int {
+	m.eps = append(m.eps, nil)
+	m.edges = append(m.edges, nil)
 	m.numStates++
 	return m.numStates - 1
 }
@@ -36,25 +35,34 @@ type frag struct{ in, out int }
 // given alphabet. Literal labels of e that are missing from alphabet
 // are added (so the alphabet is always a superset of Labels(e)).
 func Compile(e Expr, alphabet []string) *DFA {
-	full := map[string]bool{}
-	for _, s := range alphabet {
-		full[s] = true
-	}
-	for _, s := range Labels(e) {
-		full[s] = true
-	}
-	syms := make([]string, 0, len(full))
-	for s := range full {
-		syms = append(syms, s)
-	}
-	sort.Strings(syms)
+	labels := Labels(e)
+	syms := extend(alphabet, labels)
 	symIdx := indexOf(syms)
+	mentioned := make([]bool, len(syms))
+	for _, s := range labels {
+		mentioned[symIdx[s]] = true
+	}
 
-	m := newNFA()
+	m := &nfa{}
 	f := build(m, e, symIdx)
 	m.start, m.accept = f.in, f.out
-	acc, trans := subset(m, len(syms))
+	acc, trans := subset(m, mentioned)
 	return minimal(syms, symIdx, 0, acc, trans)
+}
+
+// extend returns the sorted set of the symbols of alphabet and words,
+// allocated at about its size: compiled automata keep it.
+func extend(alphabet []string, words ...[]string) []string {
+	n := len(alphabet)
+	for _, w := range words {
+		n += len(w)
+	}
+	syms := append(make([]string, 0, n), alphabet...)
+	for _, w := range words {
+		syms = append(syms, w...)
+	}
+	slices.Sort(syms)
+	return slices.Compact(syms)
 }
 
 func build(m *nfa, e Expr, sym map[string]int) frag {
@@ -121,69 +129,80 @@ func build(m *nfa, e Expr, sym map[string]int) frag {
 	}
 }
 
-// subset performs the subset construction over k symbols, building
-// the complete DFA straight into minimal's input form: subset states in
-// discovery order (all reachable, state 0 the start), acceptance
-// acc[i], and successors trans[i*k+s].
-func subset(m *nfa, k int) (acc []bool, trans []int32) {
-	closure := func(set map[int]bool) map[int]bool {
-		stack := make([]int, 0, len(set))
-		for q := range set {
-			stack = append(stack, q)
+// subset performs the subset construction, building the complete DFA
+// straight into minimal's input form: subset states in discovery order
+// (all reachable, state 0 the start), acceptance acc[i], and successors
+// trans[i*k+s] for the k = len(mentioned) symbols. A symbol the
+// expression does not mention moves only along wildcard edges, so one
+// move, made at the first such symbol (where it discovers its subset),
+// serves them all. Subsets are sorted NFA state lists, back to back.
+func subset(m *nfa, mentioned []bool) (acc []bool, trans []int32) {
+	k := len(mentioned)
+	mark := make([]int32, m.numStates) // stamp of the last subset built with q
+	var stamp int32
+	var nxt []int32     // the subset being built
+	var members []int32 // every subset's states, back to back
+	off := []int32{0}   // subset i is members[off[i]:off[i+1]]
+	ids := map[string]int32{}
+	var key []byte
+	add := func(q int) {
+		if mark[q] != stamp {
+			mark[q] = stamp
+			nxt = append(nxt, int32(q))
 		}
-		for len(stack) > 0 {
-			q := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, nx := range m.eps[q] {
-				if !set[nx] {
-					set[nx] = true
-					stack = append(stack, nx)
-				}
+	}
+	// intern closes nxt under epsilon moves and returns its subset,
+	// discovering it if it is new.
+	intern := func() int32 {
+		for i := 0; i < len(nxt); i++ {
+			for _, to := range m.eps[nxt[i]] {
+				add(to)
 			}
 		}
-		return set
-	}
-	key := func(set map[int]bool) string {
-		qs := make([]int, 0, len(set))
-		for q := range set {
-			qs = append(qs, q)
+		slices.Sort(nxt)
+		key = key[:0]
+		for _, q := range nxt {
+			key = append(key, byte(q), byte(q>>8), byte(q>>16))
 		}
-		sort.Ints(qs)
-		b := make([]byte, 0, len(qs)*3)
-		for _, q := range qs {
-			b = append(b, byte(q), byte(q>>8), byte(q>>16))
+		if id, ok := ids[string(key)]; ok {
+			return id
 		}
-		return string(b)
+		id := int32(len(off) - 1)
+		ids[string(key)] = id
+		members = append(members, nxt...)
+		off = append(off, int32(len(members)))
+		return id
 	}
 
-	startSet := closure(map[int]bool{m.start: true})
-	ids := map[string]int32{key(startSet): 0}
-	sets := []map[int]bool{startSet}
-	for i := 0; i < len(sets); i++ {
-		cur := sets[i]
+	stamp++
+	add(m.start)
+	intern()
+	for i := 0; i < len(off)-1; i++ {
+		other := int32(-1)
 		for s := 0; s < k; s++ {
-			nxt := map[int]bool{}
-			for q := range cur {
+			if !mentioned[s] && other >= 0 {
+				trans = append(trans, other)
+				continue
+			}
+			stamp++
+			nxt = nxt[:0]
+			for _, q := range members[off[i]:off[i+1]] {
 				for _, e := range m.edges[q] {
 					if e.sym == s || e.sym == -1 {
-						nxt[e.to] = true
+						add(e.to)
 					}
 				}
 			}
-			nxt = closure(nxt)
-			sk := key(nxt)
-			id, ok := ids[sk]
-			if !ok {
-				id = int32(len(sets))
-				ids[sk] = id
-				sets = append(sets, nxt)
+			id := intern()
+			if !mentioned[s] {
+				other = id
 			}
 			trans = append(trans, id)
 		}
 	}
-	acc = make([]bool, len(sets))
-	for i, set := range sets {
-		acc[i] = set[m.accept]
+	acc = make([]bool, len(off)-1)
+	for i := range acc {
+		_, acc[i] = slices.BinarySearch(members[off[i]:off[i+1]], int32(m.accept))
 	}
 	return acc, trans
 }

@@ -2,6 +2,7 @@ package pathre
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -279,23 +280,6 @@ func sameSignature(part, trans []int32, k int, i, j int32) bool {
 	return true
 }
 
-func (d *DFA) reachable() []bool {
-	seen := make([]bool, d.NumStates())
-	stack := []int{d.Start}
-	seen[d.Start] = true
-	for len(stack) > 0 {
-		q := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, nx := range d.Trans[q] {
-			if !seen[nx] {
-				seen[nx] = true
-				stack = append(stack, nx)
-			}
-		}
-	}
-	return seen
-}
-
 // mustSameAlphabet panics unless both alphabets are identical. Every
 // DFA in a learning session is built over the one alphabet of its
 // source document, so a mismatch is a programming error (mixing
@@ -460,71 +444,82 @@ func (d *DFA) Union(o *DFA) *DFA {
 // sequences over the alphabet (extended with any symbols the strings
 // use).
 func FromStrings(words [][]string, alphabet []string) *DFA {
-	full := map[string]bool{}
-	for _, s := range alphabet {
-		full[s] = true
-	}
-	for _, w := range words {
+	syms := extend(alphabet, words...)
+	index := indexOf(syms)
+	pos := make([][]int32, len(words))
+	for i, w := range words {
 		for _, s := range w {
-			full[s] = true
+			pos[i] = append(pos[i], int32(index[s]))
 		}
 	}
-	syms := make([]string, 0, len(full))
-	for s := range full {
-		syms = append(syms, s)
-	}
-	sort.Strings(syms)
+	return fromPositions(syms, index, pos)
+}
 
-	type tnode struct {
-		children map[string]*tnode
-		accept   bool
+// FromPositions returns the minimal DFA, over d's alphabet and symbol
+// index, that accepts exactly words, each a sequence of positions in
+// d.Alphabet. The words need not be sorted or distinct. Trimming d to
+// the finite set of words it accepts this way yields the automaton
+// d.Intersect would with any automaton accepting exactly them, state
+// numbering included.
+func (d *DFA) FromPositions(words [][]int32) *DFA {
+	return fromPositions(d.Alphabet, d.symIndex, words)
+}
+
+// fromPositions lays the words' trie out as minimal's input in
+// breadth-first discovery order, symbols in alphabet order, with the
+// dead state numbered where the first missing edge reaches it: the
+// order product and subset number their states in. In sorted words a
+// trie node's words are one run, the word equal to its prefix first and
+// its children's runs after it in symbol order, so a state is a run.
+func fromPositions(alphabet []string, index map[string]int, words [][]int32) *DFA {
+	if !slices.IsSortedFunc(words, slices.Compare) {
+		words = slices.Clone(words)
+		slices.SortFunc(words, slices.Compare)
 	}
-	root := &tnode{children: map[string]*tnode{}}
-	for _, w := range words {
-		cur := root
-		for _, s := range w {
-			next := cur.children[s]
-			if next == nil {
-				next = &tnode{children: map[string]*tnode{}}
-				cur.children[s] = next
+	// The state count: the root, the dead state, and each word's steps
+	// past the prefix it shares with the word before it.
+	n := 2
+	for i, w := range words {
+		l := 0
+		for i > 0 && l < min(len(w), len(words[i-1])) && w[l] == words[i-1][l] {
+			l++
+		}
+		n += len(w) - l
+	}
+	k := len(alphabet)
+	type run struct{ lo, hi, depth int }
+	runs := make([]run, 1, n)
+	runs[0] = run{0, len(words), 0}
+	acc := make([]bool, 0, n)
+	trans := make([]int32, 0, n*k)
+	dead := int32(-1)
+	for i := 0; i < len(runs); i++ {
+		lo, hi, d := runs[i].lo, runs[i].hi, runs[i].depth
+		accept := false
+		for lo < hi && len(words[lo]) == d {
+			accept = true
+			lo++
+		}
+		acc = append(acc, accept)
+		for s := int32(0); s < int32(k); s++ {
+			if lo < hi && words[lo][d] == s {
+				j := lo + 1
+				for j < hi && words[j][d] == s {
+					j++
+				}
+				trans = append(trans, int32(len(runs)))
+				runs = append(runs, run{lo, j, d + 1})
+				lo = j
+				continue
 			}
-			cur = next
-		}
-		cur.accept = true
-	}
-	var nodes []*tnode
-	idx := map[*tnode]int{}
-	var number func(*tnode)
-	number = func(t *tnode) {
-		idx[t] = len(nodes)
-		nodes = append(nodes, t)
-		keys := make([]string, 0, len(t.children))
-		for s := range t.children {
-			keys = append(keys, s)
-		}
-		sort.Strings(keys)
-		for _, s := range keys {
-			number(t.children[s])
-		}
-	}
-	number(root)
-	out := newDFA(syms, indexOf(syms), len(nodes)+1)
-	dead := len(nodes)
-	for i, t := range nodes {
-		out.Accept[i] = t.accept
-		for s, sym := range out.Alphabet {
-			if c, ok := t.children[sym]; ok {
-				out.Trans[i][s] = idx[c]
-			} else {
-				out.Trans[i][s] = dead
+			if dead < 0 {
+				dead = int32(len(runs))
+				runs = append(runs, run{})
 			}
+			trans = append(trans, dead)
 		}
 	}
-	for s := range out.Alphabet {
-		out.Trans[dead][s] = dead
-	}
-	out.Start = idx[root]
-	return out.Minimize()
+	return minimal(alphabet, index, 0, acc, trans)
 }
 
 // RightQuotient returns the DFA for { w : ∃a ∈ Σ, w·a ∈ L(d) } — the
@@ -548,23 +543,16 @@ func (d *DFA) RightQuotient() *DFA {
 // LastSymbols returns the sorted set of symbols that can end an
 // accepted string: { a : ∃ reachable q, δ(q,a) ∈ F }.
 func (d *DFA) LastSymbols() []string {
-	reach := d.reachable()
-	seen := map[string]bool{}
-	for q := 0; q < d.NumStates(); q++ {
-		if !reach[q] {
-			continue
-		}
-		for s, nx := range d.Trans[q] {
-			if d.Accept[nx] {
-				seen[d.Alphabet[s]] = true
+	_, states, _ := d.compact()
+	var out []string
+	for s, sym := range d.Alphabet {
+		for _, q := range states {
+			if d.Accept[d.Trans[q][s]] {
+				out = append(out, sym)
+				break
 			}
 		}
 	}
-	out := make([]string, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Strings(out)
 	return out
 }
 

@@ -5,14 +5,18 @@ import (
 	"testing"
 )
 
+// pathSeeds seed FuzzParsePath and FuzzCompile.
+var pathSeeds = []string{
+	"/site/regions/(europe|africa)/item",
+	"/site//name", "//keyword", "/a/*/c", "/a/b?", "/a/(b/c|d)+/e",
+	"a", "((((", "|||", "/a//", "@x/@y", "/a/(b|)/c",
+	"/site/people/person/@id", "/a/(b|c)*/d//e?", "0/(//0)",
+}
+
 // FuzzParsePath: the parser never panics, and anything it accepts
 // renders to a string that reparses to the same language.
 func FuzzParsePath(f *testing.F) {
-	for _, seed := range []string{
-		"/site/regions/(europe|africa)/item",
-		"/site//name", "//keyword", "/a/*/c", "/a/b?", "/a/(b/c|d)+/e",
-		"a", "((((", "|||", "/a//", "@x/@y", "/a/(b|)/c",
-	} {
+	for _, seed := range pathSeeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -81,5 +85,31 @@ func FuzzMinimize(f *testing.F) {
 			t.Fatalf("Minimize changed the language, witness %v", w)
 		}
 		sameDFA(t, "Minimize twice", m.Minimize(), m)
+	})
+}
+
+// FuzzCompile: for any expression the parser accepts, over an alphabet
+// of pad padding labels plus every second label the expression
+// mentions (the rest missing from it), Compile's subset table over
+// symbol classes equals refSubset's entry for entry.
+func FuzzCompile(f *testing.F) {
+	for i, seed := range pathSeeds {
+		f.Add(seed, uint8(7*i))
+	}
+	f.Fuzz(func(t *testing.T, src string, pad uint8) {
+		e, err := ParsePath(src)
+		if err != nil {
+			return
+		}
+		var alpha []string
+		for i, l := range Labels(e) {
+			if i%2 == 0 {
+				alpha = append(alpha, l)
+			}
+		}
+		for i := 0; i < int(pad%80); i++ {
+			alpha = append(alpha, "pad"+strconv.Itoa(i))
+		}
+		checkCompile(t, e, alpha)
 	})
 }

@@ -2,6 +2,8 @@ package pathre
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"strconv"
 	"testing"
 )
@@ -13,8 +15,26 @@ import (
 // so "matches the reference" means state for state: same Start, same
 // Accept, same Trans.
 
+// reachable marks the states reachable from d's start.
+func reachable(d *DFA) []bool {
+	seen := make([]bool, d.NumStates())
+	stack := []int{d.Start}
+	seen[d.Start] = true
+	for len(stack) > 0 {
+		q := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, nx := range d.Trans[q] {
+			if !seen[nx] {
+				seen[nx] = true
+				stack = append(stack, nx)
+			}
+		}
+	}
+	return seen
+}
+
 func refMinimize(d *DFA) *DFA {
-	reach := d.reachable()
+	reach := reachable(d)
 	idx := make([]int, d.NumStates())
 	var states []int
 	for q := 0; q < d.NumStates(); q++ {
@@ -129,6 +149,83 @@ func refRightQuotient(d *DFA) *DFA {
 	return refMinimize(out)
 }
 
+// refSubset is the subset construction as it was before it moved
+// symbol classes: one move per symbol over map-keyed state sets.
+func refSubset(m *nfa, k int) (acc []bool, trans []int32) {
+	closure := func(set map[int]bool) map[int]bool {
+		stack := make([]int, 0, len(set))
+		for q := range set {
+			stack = append(stack, q)
+		}
+		for len(stack) > 0 {
+			q := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, nx := range m.eps[q] {
+				if !set[nx] {
+					set[nx] = true
+					stack = append(stack, nx)
+				}
+			}
+		}
+		return set
+	}
+	key := func(set map[int]bool) string {
+		qs := make([]int, 0, len(set))
+		for q := range set {
+			qs = append(qs, q)
+		}
+		sort.Ints(qs)
+		b := make([]byte, 0, len(qs)*3)
+		for _, q := range qs {
+			b = append(b, byte(q), byte(q>>8), byte(q>>16))
+		}
+		return string(b)
+	}
+
+	startSet := closure(map[int]bool{m.start: true})
+	ids := map[string]int32{key(startSet): 0}
+	sets := []map[int]bool{startSet}
+	for i := 0; i < len(sets); i++ {
+		cur := sets[i]
+		for s := 0; s < k; s++ {
+			nxt := map[int]bool{}
+			for q := range cur {
+				for _, e := range m.edges[q] {
+					if e.sym == s || e.sym == -1 {
+						nxt[e.to] = true
+					}
+				}
+			}
+			nxt = closure(nxt)
+			sk := key(nxt)
+			id, ok := ids[sk]
+			if !ok {
+				id = int32(len(sets))
+				ids[sk] = id
+				sets = append(sets, nxt)
+			}
+			trans = append(trans, id)
+		}
+	}
+	acc = make([]bool, len(sets))
+	for i, set := range sets {
+		acc[i] = set[m.accept]
+	}
+	return acc, trans
+}
+
+// refTrim is the trim the engine made before FromPositions: the
+// automaton intersected with the automaton of every candidate word.
+func refTrim(d *DFA, words [][]int32) *DFA {
+	labels := make([][]string, len(words))
+	for i, w := range words {
+		for _, a := range w {
+			labels[i] = append(labels[i], d.Alphabet[a])
+		}
+	}
+	return d.Intersect(FromStrings(labels, d.Alphabet))
+}
+
 // sameDFA fails unless got and want agree state for state.
 func sameDFA(t *testing.T, op string, got, want *DFA) {
 	t.Helper()
@@ -223,18 +320,109 @@ func TestKernelsMatchReference(t *testing.T) {
 	}
 }
 
-// TestCompileMatchesReference: Compile (whose subset construction builds
-// straight into the flat table) and FromStrings emit automata the
-// reference minimization leaves unchanged, state numbering included.
+// checkCompile fails unless Compile's subset table for e over alphabet
+// equals refSubset's entry for entry, and Compile's automaton is the
+// reference minimization of that table, state numbering included.
+func checkCompile(t *testing.T, e Expr, alphabet []string) {
+	t.Helper()
+	got := Compile(e, alphabet)
+	m := &nfa{}
+	f := build(m, e, got.symIndex)
+	m.start, m.accept = f.in, f.out
+	mentioned := make([]bool, len(got.Alphabet))
+	for _, s := range Labels(e) {
+		mentioned[got.symIndex[s]] = true
+	}
+	acc, trans := subset(m, mentioned)
+	refAcc, refTrans := refSubset(m, len(got.Alphabet))
+	if !slices.Equal(acc, refAcc) || !slices.Equal(trans, refTrans) {
+		t.Fatalf("%s over %d symbols: subset table (%d states) differs from the reference's (%d states)",
+			String(e), len(got.Alphabet), len(acc), len(refAcc))
+	}
+	table := NewDFA(got.Alphabet, len(refAcc))
+	for q := range refAcc {
+		table.Accept[q] = refAcc[q]
+		for s := range table.Trans[q] {
+			table.Trans[q][s] = int(refTrans[q*len(got.Alphabet)+s])
+		}
+	}
+	sameDFA(t, "Compile "+String(e), got, refMinimize(table))
+}
+
+// paddedAlphabet returns n padding labels and each of a, b and c with
+// probability keep, sorted. The expressions of randomExpr mention only
+// a, b and c, so most labels are unmentioned, and a dropped one is a
+// label the expression adds.
+func paddedAlphabet(r *rand.Rand, n int, keep float64) []string {
+	var alpha []string
+	for _, l := range []string{"a", "b", "c"} {
+		if r.Float64() < keep {
+			alpha = append(alpha, l)
+		}
+	}
+	for i := 0; i < n; i++ {
+		alpha = append(alpha, "p"+strconv.Itoa(i))
+	}
+	sort.Strings(alpha)
+	return alpha
+}
+
+// TestCompileMatchesReference: Compile's subset construction over
+// symbol classes builds refSubset's table entry for entry, on alphabets
+// of 4 to 80 labels that the expression mostly does not mention, with
+// wildcards, // and labels missing from the alphabet; and FromStrings
+// emits automata the reference minimization leaves unchanged (over 4
+// labels, where enumerating accepted words stays small).
 func TestCompileMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(15))
+	for i := 0; i < 300; i++ {
+		checkCompile(t, randomExpr(r, 1+r.Intn(4)), paddedAlphabet(r, 4+r.Intn(77), 0.7))
+	}
 	alpha := []string{"a", "b", "c", "d"}
 	for i := 0; i < 200; i++ {
-		e := randomExpr(r, 4)
-		got := Compile(e, alpha)
-		sameDFA(t, "Compile", got, refMinimize(got))
-		fs := FromStrings(got.EnumerateAccepted(4, 20), alpha)
+		fs := FromStrings(Compile(randomExpr(r, 4), alpha).EnumerateAccepted(4, 20), alpha)
 		sameDFA(t, "FromStrings", fs, refMinimize(fs))
+	}
+	for _, src := range []string{"//a", "/a//b", "/*/a//*", "//*", "/a/(b|nosuch)//c"} {
+		checkCompile(t, MustParsePath(src), paddedAlphabet(r, 60, 1))
+	}
+}
+
+// TestFromPositionsMatchesIntersect: trimming a random automaton to
+// the candidate words it accepts with FromPositions gives the product
+// trim's automaton state for state, for words in any order and with
+// repeats, and for pairs the RightQuotient of the trimmed automaton is
+// FromPositions over the words with their last step dropped.
+func TestFromPositionsMatchesIntersect(t *testing.T) {
+	r := rand.New(rand.NewSource(16))
+	for trial := 0; trial < 300; trial++ {
+		k := 1 + r.Intn(40)
+		d := randDFA(r, 1+r.Intn(20), k, r.Intn(3)*r.Intn(2), r.Float64()*0.9, r.Intn(3))
+		var words, accepted, dropped [][]int32
+		for n := r.Intn(30); len(words) < n; {
+			w := make([]int32, 1+r.Intn(6))
+			for j := range w {
+				w[j] = int32(r.Intn(k))
+			}
+			words = append(words, w)
+			if r.Intn(4) == 0 {
+				words = append(words, w)
+			}
+		}
+		for _, w := range words {
+			q := d.Start
+			for _, a := range w {
+				q = d.Trans[q][a]
+			}
+			if d.Accept[q] {
+				accepted = append(accepted, w)
+				dropped = append(dropped, w[:len(w)-1])
+			}
+		}
+		r.Shuffle(len(accepted), func(i, j int) { accepted[i], accepted[j] = accepted[j], accepted[i] })
+		ref := refTrim(d, words)
+		sameDFA(t, "FromPositions", d.FromPositions(accepted), ref)
+		sameDFA(t, "FromPositions of dropped", d.FromPositions(dropped), ref.RightQuotient())
 	}
 }
 
@@ -255,16 +443,17 @@ func TestDerivedShareAlphabet(t *testing.T) {
 	}
 }
 
-// BenchmarkTrimIntersect is the engine's trimDFA shape: a small learned
-// hypothesis intersected with the realized-paths automaton of a
-// document (a trie of 150 root paths over 77 labels).
-func BenchmarkTrimIntersect(b *testing.B) {
+// trimSink keeps the benchmarked trims from being optimized away.
+var trimSink *DFA
+
+// trimBench is the engine's trim shape: a small learned hypothesis
+// and the 150 root paths, over 77 labels, of a document.
+func trimBench() (hyp *DFA, words [][]string) {
 	r := rand.New(rand.NewSource(1))
 	alpha := make([]string, 77)
 	for i := range alpha {
 		alpha[i] = "l" + strconv.Itoa(i)
 	}
-	var words [][]string
 	for len(words) < 150 {
 		w := []string{"l0"}
 		for n := 1 + r.Intn(5); n > 0; n-- {
@@ -272,10 +461,46 @@ func BenchmarkTrimIntersect(b *testing.B) {
 		}
 		words = append(words, w)
 	}
-	realized := FromStrings(words, alpha)
-	hyp := Compile(MustParsePath("/l0//(l1|l2)/*"), alpha)
+	return Compile(MustParsePath("/l0//(l1|l2)/*"), alpha), words
+}
+
+// BenchmarkTrimIntersect is the trim as a product: the hypothesis
+// intersected with the realized-paths automaton (a trie of the 150
+// root paths).
+func BenchmarkTrimIntersect(b *testing.B) {
+	hyp, words := trimBench()
+	realized := FromStrings(words, hyp.Alphabet)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		hyp.Intersect(realized)
+		trimSink = hyp.Intersect(realized)
+	}
+}
+
+// BenchmarkTrimFromPositions is the trim the engine makes: the root
+// paths the hypothesis accepts, stepped on alphabet positions, laid out
+// as a trie and minimized.
+func BenchmarkTrimFromPositions(b *testing.B) {
+	hyp, words := trimBench()
+	var pos [][]int32
+	for _, w := range words {
+		p := make([]int32, len(w))
+		for j, l := range w {
+			p[j] = int32(hyp.SymIndex(l))
+		}
+		pos = append(pos, p)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var accepted [][]int32
+		for _, w := range pos {
+			q := hyp.Start
+			for _, a := range w {
+				q = hyp.Trans[q][a]
+			}
+			if hyp.Accept[q] {
+				accepted = append(accepted, w)
+			}
+		}
+		trimSink = hyp.FromPositions(accepted)
 	}
 }

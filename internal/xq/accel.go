@@ -1,6 +1,8 @@
 package xq
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -283,26 +285,31 @@ func (e *Evaluator) nodeValue(n *xmldoc.Node) Value {
 // group matches, the gathered groups are re-sorted by pre-order clock,
 // which is exactly the naive walk order; a single matching group is
 // already in document order (the index files each group's nodes in
-// walk order), so the re-sort is skipped.
+// walk order), so the re-sort is skipped. d is compiled against the
+// document alphabet: the paths' positions index its rows unless it
+// added labels the document lacks, and then d steps by label.
 func (e *Evaluator) pathNodesIndexed(d *pathre.DFA) []*xmldoc.Node {
 	ix := e.Index()
+	same := len(d.Alphabet) == len(ix.alphabet)
 	var out []*xmldoc.Node
 	groups := 0
 	for i := range ix.paths {
 		p := &ix.paths[i]
 		q := d.Start
 		for _, a := range p.Pos {
-			if q = d.Step(q, ix.alphabet[a]); q < 0 {
-				break
+			if same {
+				q = d.Trans[q][a]
+			} else {
+				q = d.Step(q, ix.alphabet[a])
 			}
 		}
-		if q >= 0 && d.Accept[q] {
+		if d.Accept[q] {
 			out = append(out, p.Nodes...)
 			groups++
 		}
 	}
 	if groups > 1 {
-		sort.Slice(out, func(i, j int) bool { return ix.docOrderLess(out[i], out[j]) })
+		slices.SortFunc(out, func(a, b *xmldoc.Node) int { return cmp.Compare(ix.pre[a.ID], ix.pre[b.ID]) })
 	}
 	return out
 }

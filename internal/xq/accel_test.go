@@ -125,3 +125,36 @@ func TestRelayCandidatesIndexed(t *testing.T) {
 		}
 	}
 }
+
+// checkRootScan runs every document-rooted binding path of tree, and
+// two widenings of it that name labels doc lacks (one sorting before
+// every label, one after), through the root-path scan and the naive
+// walk; both must return the same nodes in the same order. The
+// widenings compile to automata over a larger alphabet than the
+// index's, whose paths' positions must then be translated.
+func checkRootScan(t testing.TB, doc *xmldoc.Document, tree *Tree) {
+	t.Helper()
+	naive := NewEvaluator(doc)
+	naive.SetAcceleration(false)
+	fast := NewEvaluatorWithIndex(NewIndex(doc))
+	for _, n := range tree.Nodes() {
+		if n.From != "" || n.Path == nil {
+			continue
+		}
+		for _, p := range []pathre.Expr{
+			n.Path,
+			pathre.Alt{Parts: []pathre.Expr{n.Path, pathre.Lit{Label: "!missing"}}},
+			pathre.Concat{Parts: []pathre.Expr{pathre.Opt{Sub: pathre.Lit{Label: "~missing"}}, n.Path}},
+		} {
+			want, got := naive.PathNodes(nil, p), fast.PathNodes(nil, p)
+			if len(got) != len(want) {
+				t.Fatalf("%s: root-path scan found %d nodes, naive walk %d", pathre.String(p), len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s: node %d is %s, naive walk %s", pathre.String(p), i, got[i].PathString(), want[i].PathString())
+				}
+			}
+		}
+	}
+}

@@ -6,11 +6,12 @@ import "repro/internal/xmldoc"
 // external tests that check it against NodeValue on generated instances.
 func IndexValue(ix *Index, n *xmldoc.Node) Value { return ix.value(n) }
 
-// CheckValueClasses, CheckConds and FuzzDoc serve the external
-// value-class and condition-check tests, which also cover the paper
+// CheckValueClasses, CheckConds, CheckRootScan and FuzzDoc serve the
+// external value-class, condition-check and root-path scan tests, which also cover the paper
 // instances (importing them here would be a cycle).
 var (
 	CheckValueClasses = checkValueClasses
 	CheckConds        = checkConds
+	CheckRootScan     = checkRootScan
 	FuzzDoc           = fuzzDoc
 )

@@ -67,18 +67,16 @@ type Index struct {
 	// once per document rather than once per evaluator/session.
 	dfaMu sync.RWMutex
 	dfas  map[string]*pathre.DFA
-
-	// realizedOnce/realized lazily cache the DFA accepting exactly the
-	// document's realized root label paths (see RealizedPathsDFA) — a
-	// pure function of the path table and alphabet, shared by every
-	// learning session over this document.
-	realizedOnce sync.Once
-	realized     *pathre.DFA
 }
 
 // dfaCacheMax bounds the shared DFA cache; adversarial query streams
 // aside, real sessions revisit a few dozen expressions.
 const dfaCacheMax = 1 << 12
+
+// PathDFA returns the compiled DFA for expression p, the automaton
+// every evaluator adopting the index runs p with. Safe for concurrent
+// use.
+func (ix *Index) PathDFA(p pathre.Expr) *pathre.DFA { return ix.dfaFor(pathre.String(p), p) }
 
 // dfaFor returns the compiled DFA for expression p (whose render is
 // key), compiling against the document alphabet on first use. Safe for
@@ -379,23 +377,6 @@ func (ix *Index) NodesSym(sym int32) []*xmldoc.Node {
 // as read-only.
 func (ix *Index) Columns() *xmldoc.Columns { return ix.cols }
 
-// RealizedPathsDFA returns the DFA accepting exactly the document's
-// realized root label paths, built lazily at most once. The words are
-// fed to the construction in SortedRootPaths order — the order the
-// learning engine's path table is in — so the automaton, state
-// numbering included, is identical to the per-session build it
-// replaces. Safe for concurrent use.
-func (ix *Index) RealizedPathsDFA() *pathre.DFA {
-	ix.realizedOnce.Do(func() {
-		words := make([][]string, len(ix.paths))
-		for i := range ix.paths {
-			words[i] = ix.paths[i].Labels(ix.alphabet)
-		}
-		ix.realized = pathre.FromStrings(words, ix.alphabet)
-	})
-	return ix.realized
-}
-
 // RootPath is one distinct root label path of a document, with the
 // element and attribute nodes at it in document order.
 type RootPath struct {
@@ -404,15 +385,6 @@ type RootPath struct {
 	// alphabet, so an automaton over that alphabet runs the path on its
 	// transition rows alone.
 	Pos []int32
-}
-
-// Labels returns the path's labels, given the alphabet Pos indexes.
-func (p RootPath) Labels(alphabet []string) []string {
-	out := make([]string, len(p.Pos))
-	for i, a := range p.Pos {
-		out[i] = alphabet[a]
-	}
-	return out
 }
 
 // alphabetPos returns label's position in the sorted alphabet, which

@@ -386,3 +386,28 @@ func TestCondsMatchNaive(t *testing.T) {
 		})
 	}
 }
+
+// TestRootScanMatchesNaive: the root-path scan steps the distinct root
+// paths on alphabet positions, translated when the expression names
+// labels the document lacks; on every document-rooted level of every
+// truth and golden tree, over the paper instances and a 4x XMark
+// instance, it must match the naive walk.
+func TestRootScanMatchesNaive(t *testing.T) {
+	var scens []*scenario.Scenario
+	scens = append(scens, xmark.Scenarios()...)
+	scens = append(scens, xmp.Scenarios()...)
+	scens = append(scens, ucr.Scenarios()...)
+	for _, s := range scens {
+		doc := s.Doc()
+		xq.CheckRootScan(t, doc, s.Truth())
+		xq.CheckRootScan(t, doc, goldenTree(t, s.ID))
+	}
+	if testing.Short() {
+		t.Skip("4x instance")
+	}
+	doc := largeXMark(100)
+	for _, s := range xmark.Scenarios() {
+		xq.CheckRootScan(t, doc, s.Truth())
+		xq.CheckRootScan(t, doc, goldenTree(t, s.ID))
+	}
+}
