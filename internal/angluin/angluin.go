@@ -46,21 +46,16 @@ type IDTeacher interface {
 }
 
 // Stats counts the queries the learner issued. Membership queries are
-// counted per distinct word asked — one charge per word whether it went
-// out alone or inside a batch (the learner itself never repeats a word;
-// repeats are served from the observation table) — so the counts are
-// identical across the serial and batched protocols. Words a Deducer's
-// dead region answers are not asked and not counted.
+// counted per distinct word asked, one charge per word (the learner
+// itself never repeats a word; repeats are served from the observation
+// table). Words a Deducer's dead region answers are not asked and not
+// counted; L* does not even give them a row of their own (see
+// Deducer).
 type Stats struct {
 	MembershipQueries  int
 	EquivalenceQueries int
 	Counterexamples    int
 	HypothesisStates   int
-	// BatchRounds / BatchedQueries count L*'s query-set round trips and
-	// the membership queries shipped in them (zero for single-query
-	// teachers, and for KV, which asks every probe on its own).
-	BatchRounds    int
-	BatchedQueries int
 }
 
 // Option configures Learn.
@@ -85,9 +80,8 @@ func WithMaxEquivalenceQueries(n int) Option {
 // target over several Learn calls passes the same Words to each and
 // keeps its ID-indexed answer state valid across them. Without this
 // option the learner interns into a pooled private Words it releases
-// on return; the ID forms of the seam (IDTeacher, IDBatchTeacher) and a
-// Deducer need this option, because their IDs mean nothing outside the
-// Words.
+// on return; an IDTeacher and a Deducer need this option, because
+// their IDs mean nothing outside the Words.
 func WithWords(w *Words) Option {
 	return func(l *learner) { l.tr = w }
 }
@@ -126,8 +120,6 @@ func newLearner(alphabet []string, t Teacher, opts ...Option) (*learner, error) 
 		maxEQ:    1000,
 	}
 	l.ids, _ = t.(IDTeacher)
-	l.batch, _ = t.(BatchTeacher)
-	l.bids, _ = t.(IDBatchTeacher)
 	l.ded, _ = t.(Deducer)
 	for _, o := range opts {
 		o(l)
@@ -178,33 +170,28 @@ type learner struct {
 	teacher  Teacher
 	// ids is teacher's IDTeacher form when it implements one (nil
 	// otherwise); membership misses prefer it, passing only the word's
-	// ID. Words are materialized for the plain Teacher/BatchTeacher
-	// forms alone.
+	// ID. Words are materialized for the plain Teacher form alone.
 	ids IDTeacher
-	// batch/bids are the teacher's batch forms when implemented: the
-	// closedness scan then prefills whole query sets per round trip
-	// (see batch.go) instead of asking cell by cell.
-	batch BatchTeacher
-	bids  IDBatchTeacher
 	// ded is the teacher's dead region when it has one (see Deducer):
-	// cells in it are filled No without a node or a question.
+	// cells in it are filled No without a node or a question, and an
+	// extension row in it is the shared sink row (see ext).
 	ded     Deducer
 	initial []string
 	maxEQ   int
 
-	// Word interning. Every access string, one-symbol extension, and
-	// asked word is a node of the Words trie (a cell deduced dead is
-	// not); all per-word state below is indexed by node ID, so the
-	// scans that dominate L* — closedness, consistency, hypothesis
-	// extraction — and the membership-table probes run on integer
-	// lookups with zero string building. The
-	// trie may hold nodes from earlier Learn calls on the same Words;
-	// grow covers them with fresh per-call state.
+	// Word interning. Every access string, live one-symbol extension,
+	// and asked word is a node of the Words trie (a cell deduced dead
+	// and a sink extension are not); all per-word state below is
+	// indexed by node ID, so the scans that dominate L* — closedness,
+	// consistency, hypothesis extraction — and the membership-table
+	// probes run on integer lookups with zero string building. The trie
+	// may hold nodes from earlier Learn calls on the same Words; grow
+	// covers them with fresh per-call state.
 	tr *Words
 	// rowOf maps a node to its observation-table entry in rowEnts, -1
 	// until the node is first used as a table prefix. The indirection
 	// keeps the per-node cost at 4 bytes: only the prefixes of S and
-	// their one-symbol extensions ever get an entry, while the vast
+	// their live one-symbol extensions ever get an entry, while the vast
 	// majority of nodes — intermediate links of the prefix·suffix word
 	// walks — never do.
 	rowOf   []int32
@@ -215,10 +202,6 @@ type learner struct {
 	// word walk to the same node, so they share a single teacher
 	// question exactly as the string-keyed table did.
 	ans []uint8
-	// waveMark stamps nodes already collected into the current batch
-	// wave (see prefill), replacing the per-wave seen map.
-	waveMark  []uint32
-	waveEpoch uint32
 
 	// s is the access-string set S in insertion order.
 	s []int32
@@ -233,33 +216,27 @@ type learner struct {
 	// a suffix is added.
 	rowsOfS map[string]bool
 	tabled  int
-	// prefilled is the S index up to which the current epoch's
-	// closedness query set was batch-prefetched (see prefill); reset
-	// with the epoch.
-	prefilled int
-	// Batch-wave scratch, reused across waves (see prefill): wvWids is
-	// the wave's query set by word ID; pfRows lists the rows the wave
-	// fills and pfCells the word ID of each of their unfilled cells,
-	// row after row, so the landed answers are appended to the rows
-	// without walking the cells again.
-	wvWids  []int32
-	pfRows  []int32
-	pfCells []int32
-	// Word scratch for the plain Teacher/BatchTeacher forms only; an ID
-	// teacher never gets a word from the learner. wb holds the word
-	// asked one at a time; for a wave, wvSyms flat-stores the words back
-	// to back and wvOff records each word's start, so the per-word slice
-	// headers (wvWords) are carved only after the flat buffer stops
-	// growing. All are only valid for the teacher call, exactly the
-	// Teacher word contract.
-	wb      []string
-	wvSyms  []string
-	wvOff   []int32
-	wvWords [][]string
-	// wbHigh/wvHigh/wvWordsHigh are the largest lengths wb, wvSyms and
-	// wvWords reached in this Learn: release clears the string-holding
-	// buffers only that far (see scratch.go).
-	wbHigh, wvHigh, wvWordsHigh int
+	// sinkInS caches, for the current epoch, that rowsOfS holds the
+	// all-zero row: once S realizes it, no sink extension is promoted.
+	sinkInS bool
+	// exts holds, for each prefix in S, one slot per alphabet symbol:
+	// its extension's node, -1 for a sink, or extUnknown (see ext).
+	exts []int32
+	// zero is the sink row: the all-zero row every sink extension
+	// reads, of length len(e) (see sinkRow).
+	zero []byte
+	// sinkRests memoizes the dead-word rest of a·e for alphabet position
+	// ai and column c at sinkRests[c*len(alphabet)+ai] (-1 until
+	// computed): the rest of every cell of a live prefix's sink
+	// extension by a, whatever the prefix (see deduceSink).
+	sinkRests []int32
+	// wb is the word scratch for the plain Teacher form only; an ID
+	// teacher never gets a word from the learner. It is only valid for
+	// the teacher call, exactly the Teacher word contract. wbHigh is the
+	// largest length it reached in this Learn: release clears it only
+	// that far (see scratch.go).
+	wb     []string
+	wbHigh int
 
 	stats Stats
 }
@@ -271,11 +248,16 @@ type learner struct {
 // materialized when a genuinely new row is inserted — so a caller must
 // not hold a row across a row call for the same prefix. The per-prefix
 // closedness state rides along: inS marks membership in S, checked the
-// suffix epoch in which the row was confirmed realized in S.
+// suffix epoch in which the row was confirmed realized in S. For a
+// prefix in S, exts is the offset of its extension slots in l.exts (see
+// ext) and sinkCols counts the columns whose cells of its sink
+// extensions were reported to the Deducer (see deduceSink).
 type rowEntry struct {
-	bits    []byte
-	checked uint32
-	inS     bool
+	bits     []byte
+	checked  uint32
+	exts     int32
+	sinkCols int32
+	inS      bool
 }
 
 // grow extends the per-node side arrays to the trie's node count.
@@ -283,7 +265,6 @@ func (l *learner) grow() {
 	for len(l.rowOf) < l.tr.Len() {
 		l.rowOf = append(l.rowOf, -1)
 		l.ans = append(l.ans, ansUnknown)
-		l.waveMark = append(l.waveMark, 0)
 	}
 }
 
@@ -302,6 +283,8 @@ func (l *learner) rowEnt(id int32) *rowEntry {
 			e := &l.rowEnts[n]
 			e.bits = e.bits[:0]
 			e.checked = 0
+			e.exts = 0
+			e.sinkCols = 0
 			e.inS = false
 		} else {
 			l.rowEnts = append(l.rowEnts, rowEntry{})
@@ -327,8 +310,8 @@ func (l *learner) checkedAt(id int32) uint32 {
 }
 
 // node returns the trie node for prefix p extended by symbol sym,
-// registering it on first sight — in the dead region too, marked dead,
-// because the node is a table prefix whose row needs an ID.
+// registering it on first sight — in the dead region too, marked dead:
+// a sink extension promoted into S needs an ID for its row.
 func (l *learner) node(p, sym int32) int32 {
 	id := l.tr.extend(p, sym, l.ded)
 	l.grow()
@@ -357,14 +340,94 @@ func (l *learner) internWord(w []string) int32 {
 	return id
 }
 
-// extID returns the ID of prefix id extended by alphabet[ai],
-// interning the extension on first sight. In dense mode this is the
-// row lookup fast path the closedness and hypothesis scans hit.
-func (l *learner) extID(id int32, ai int) int32 {
-	if c := l.tr.rowChild(id, ai); c >= 0 {
-		return c
+// ext returns the node of prefix id, which is in S, extended by
+// alphabet[ai], or -1 when the extension is a sink: its word lies in
+// the teacher's dead region and it is not in S. A Deducer's region is
+// prefix-closed, so a sink's row is all zeros, the one sink row every
+// sink extension shares (sinkRow); it needs no node, no row entry and
+// no cell walk. The answer is resolved once per S prefix and symbol
+// (resolveExt) and kept in the prefix's slots in exts; addPrefix
+// updates a slot when its sink joins S.
+func (l *learner) ext(id int32, ai int) int32 {
+	i := l.rowEnts[l.rowOf[id]].exts + int32(ai)
+	if l.exts[i] == extUnknown {
+		l.exts[i] = l.resolveExt(id, ai)
 	}
-	return l.node(id, l.tr.alpha[ai])
+	return l.exts[i]
+}
+
+// extUnknown marks an exts slot not resolved yet.
+const extUnknown = -2
+
+// resolveExt is ext without the slot: a live extension is interned on
+// first sight, and whether a missing child is dead is asked of the
+// Deducer.
+func (l *learner) resolveExt(id int32, ai int) int32 {
+	c := l.tr.rowChild(id, ai)
+	if c < 0 {
+		sym := l.tr.alpha[ai]
+		if c = l.tr.child(id, sym); c < 0 {
+			if l.ded != nil && (l.tr.dead(id) || l.ded.DeadStep(id, sym)) {
+				return -1
+			}
+			return l.node(id, sym)
+		}
+	}
+	if l.tr.dead(c) && !l.isInS(c) {
+		return -1
+	}
+	return c
+}
+
+// extRow returns the row of prefix id's extension by alphabet[ai]: the
+// sink row for a sink extension, else its own (see row).
+func (l *learner) extRow(id int32, ai int) ([]byte, error) {
+	if eid := l.ext(id, ai); eid >= 0 {
+		return l.row(eid)
+	}
+	return l.sinkRow(), nil
+}
+
+// sinkRow returns the all-zero row of length len(e). The slice is
+// shared; callers only read it.
+func (l *learner) sinkRow() []byte {
+	for len(l.zero) < len(l.e) {
+		l.zero = append(l.zero, '0')
+	}
+	return l.zero[:len(l.e)]
+}
+
+// deduceSink reports the cells of columns [from, len(e)) of prefix
+// id's sink extension by alphabet[ai] — the dead words id·a·e — to the
+// Deducer, keyed exactly as cell keys them. Below a live prefix the key
+// is (id, rest of a·e), and that rest is memoized per (symbol, column)
+// in sinkRests, so a cell costs one probe of the Words' seen set; below
+// a dead prefix (a sink promoted into S, or a counterexample prefix)
+// the rest continues the prefix's own and is walked.
+func (l *learner) deduceSink(id int32, ai, from int) {
+	if from >= len(l.e) {
+		return
+	}
+	k, dead := l.tr.key(id)
+	sym := l.tr.alpha[ai]
+	if dead {
+		r := l.tr.restChild(k.rest, sym)
+		for c := from; c < len(l.e); c++ {
+			l.tr.deduce(l.ded, deadKey{k.anchor, l.tr.restWalk(r, l.eSyms[c])})
+		}
+		return
+	}
+	na := len(l.alphabet)
+	for c := from; c < len(l.e); c++ {
+		for len(l.sinkRests) < (c+1)*na {
+			l.sinkRests = append(l.sinkRests, -1)
+		}
+		r := &l.sinkRests[c*na+ai]
+		if *r < 0 {
+			*r = l.tr.restWalk(l.tr.restChild(0, sym), l.eSyms[c])
+		}
+		l.tr.deduce(l.ded, deadKey{id, *r})
+	}
 }
 
 func (l *learner) setAns(id int32, v bool) {
@@ -409,15 +472,15 @@ func (l *learner) ask(id int32) (bool, error) {
 }
 
 // row computes the observation-table row of the prefix with the given
-// ID. A row is a function of the prefix and the suffix set E only, and
-// E only grows, so the cached row stays correct column-for-column
-// forever: a call after a suffix was added probes just the new columns.
-// A cell's membership lookup walks the suffix symbols from the prefix
-// node — integer steps, no string building — and asks the teacher only
-// on a miss; a cell in the teacher's dead region is No without a walk
-// below the dead step. Under a batch teacher prefill has already filled
-// every row the scans read, so this loop runs only for the serial
-// teacher.
+// ID; it is the table's one fill path. A row is a function of the
+// prefix and the suffix set E only, and E only grows, so the cached row
+// stays correct column-for-column forever: a call after a suffix was
+// added probes just the new columns. A cell's membership lookup walks
+// the suffix symbols from the prefix node — integer steps, no string
+// building — and asks the teacher only on a miss, one MemberID (or
+// Member) call per distinct word, in the order the scans reach the
+// cells; a cell in the teacher's dead region is No without a walk below
+// the dead step.
 // The returned slice aliases the entry's growing buffer — valid until
 // the next row call for the same prefix, which callers never
 // interleave.
@@ -444,10 +507,27 @@ func (l *learner) cellBit(wid int32) byte {
 	return '0'
 }
 
+// addPrefix adds node id to S, with unresolved extension slots. A dead
+// prefix joining S stops being its parent's sink extension, so the
+// parent's slot, when the parent is in S, now names the node.
 func (l *learner) addPrefix(id int32) {
-	if ent := l.rowEnt(id); !ent.inS {
-		ent.inS = true
-		l.s = append(l.s, id)
+	ent := l.rowEnt(id)
+	if ent.inS {
+		return
+	}
+	ent.inS = true
+	ent.exts = int32(len(l.exts))
+	for range l.alphabet {
+		l.exts = append(l.exts, extUnknown)
+	}
+	l.s = append(l.s, id)
+	if !l.tr.dead(id) {
+		return
+	}
+	if p := l.tr.Parent(id); l.isInS(p) {
+		if ai := l.tr.aiOf[l.tr.LastSym(id)]; ai >= 0 {
+			l.exts[l.rowEnts[l.rowOf[p]].exts+ai] = id
+		}
 	}
 }
 
@@ -471,8 +551,8 @@ func (l *learner) hasSuffix(syms []int32) bool {
 }
 
 func (l *learner) run() (*pathre.DFA, Stats, error) {
-	l.s = append(l.s[:0], 0)
-	l.rowEnt(0).inS = true
+	l.s = l.s[:0]
+	l.addPrefix(0)
 	l.e = [][]string{{}}
 	l.eSyms = [][]int32{{}}
 	if l.initial != nil {
@@ -520,24 +600,23 @@ func (l *learner) run() (*pathre.DFA, Stats, error) {
 // closedness scan is incremental: under a fixed suffix set rows never
 // change and S only grows, so extension checks that passed once are
 // never repeated — neither within one call nor across the successive
-// close calls of the counterexample loop.
+// close calls of the counterexample loop. Rows are filled as the scan
+// reaches them (row), so the teacher hears the cells in scan order.
 //
-// With a batch teacher the scan is batch-first: before touching a
-// frontier level it prefills every cell the level's checks will need as
-// one query set (prefill), so the row calls below are pure table reads;
-// without one, prefill is a no-op and the row calls ask cell by cell
-// exactly as before. Either way the cells are answered in the same
-// order with the same charges.
+// A sink extension (see ext) reads the sink row. When S does not yet
+// realize that row, the first sink the scan meets is promoted into S,
+// node and all, at the position where any extension with a new row is
+// promoted, so S's order and the hypothesis's state numbering are
+// those of a table that gave every extension its own row. The sink's
+// cells are dead words; deduceSink reports them to the Deducer when
+// the scan reaches them, as a filled row would have.
 func (l *learner) close() error {
 	for {
 		if l.rowsOfS == nil {
 			l.rowsOfS = map[string]bool{}
 			l.tabled = 0
-			l.prefilled = 0
+			l.sinkInS = false
 			l.epoch++
-		}
-		if err := l.prefill(); err != nil {
-			return err
 		}
 		for l.tabled < len(l.s) {
 			r, err := l.row(l.s[l.tabled])
@@ -554,17 +633,19 @@ func (l *learner) close() error {
 		}
 		// Closedness: every one-step extension's row must appear in S.
 		// Prefixes appended mid-scan are reached by the same loop, so one
-		// pass suffices; their query sets are prefilled level by level as
-		// the scan reaches them.
+		// pass suffices.
 		for i := 0; i < len(l.s); i++ {
-			if i >= l.prefilled {
-				if err := l.prefill(); err != nil {
-					return err
-				}
-			}
 			sid := l.s[i]
+			from := int(l.rowEnt(sid).sinkCols)
 			for ai := range l.alphabet {
-				eid := l.extID(sid, ai)
+				eid := l.ext(sid, ai)
+				if eid < 0 {
+					l.deduceSink(sid, ai, from)
+					if err := l.checkSink(sid, ai); err != nil {
+						return err
+					}
+					continue
+				}
 				if l.isInS(eid) || l.checkedAt(eid) == l.epoch {
 					continue
 				}
@@ -579,6 +660,7 @@ func (l *learner) close() error {
 				l.addPrefix(eid)
 				l.rowsOfS[string(r)] = true
 			}
+			l.rowEnt(sid).sinkCols = int32(len(l.e))
 		}
 		l.tabled = len(l.s)
 		// Consistency: equal rows must have equal extensions; otherwise
@@ -596,6 +678,27 @@ func (l *learner) close() error {
 	}
 }
 
+// checkSink is the closedness check of prefix id's sink extension by
+// alphabet[ai]: when S does not realize the sink row yet, the extension
+// is promoted into S with a node of its own and the sink row as its
+// row.
+func (l *learner) checkSink(id int32, ai int) error {
+	if l.sinkInS {
+		return nil
+	}
+	if l.sinkInS = l.rowsOfS[string(l.sinkRow())]; l.sinkInS {
+		return nil
+	}
+	eid := l.node(id, l.tr.alpha[ai])
+	if _, err := l.row(eid); err != nil {
+		return err
+	}
+	l.addPrefix(eid)
+	l.rowsOfS[string(l.sinkRow())] = true
+	l.sinkInS = true
+	return nil
+}
+
 func (l *learner) fixInconsistency() (bool, error) {
 	for i := 0; i < len(l.s); i++ {
 		for j := i + 1; j < len(l.s); j++ {
@@ -611,11 +714,11 @@ func (l *learner) fixInconsistency() (bool, error) {
 				continue
 			}
 			for ai, a := range l.alphabet {
-				ri, err := l.row(l.extID(l.s[i], ai))
+				ri, err := l.extRow(l.s[i], ai)
 				if err != nil {
 					return false, err
 				}
-				rj, err := l.row(l.extID(l.s[j], ai))
+				rj, err := l.extRow(l.s[j], ai)
 				if err != nil {
 					return false, err
 				}
@@ -669,15 +772,15 @@ func (l *learner) hypothesis() (*pathre.DFA, error) {
 			return nil, err
 		}
 		d.Accept[qi] = r[0] == '1' // E[0] is ε
-		for ai := range l.alphabet {
-			re, err := l.row(l.extID(rep, ai))
+		for ai, a := range l.alphabet {
+			re, err := l.extRow(rep, ai)
 			if err != nil {
 				return nil, err
 			}
 			target, ok := stateOf[string(re)]
 			if !ok {
 				return nil, fmt.Errorf("%w: extension %q has row %s, realized by no prefix in S",
-					ErrNotClosed, "/"+strings.Join(l.tr.Word(l.extID(rep, ai)), "/"), re)
+					ErrNotClosed, "/"+strings.Join(append(l.tr.Word(rep), a), "/"), re)
 			}
 			d.Trans[qi][col[ai]] = target
 		}

@@ -8,15 +8,17 @@ package angluin
 // learners with deductive inference show the pattern: an implied
 // answer is never asked.
 //
-// The learner decides the region once per trie node. A node below a
-// dead one is dead; a live node asks DeadStep for each child it lacks.
-// A table cell whose word is dead is filled No on the spot: no node is
-// created below the dead step, the cell is neither asked through
-// Member/MemberID nor shipped in a batch wave, and
-// Stats.MembershipQueries does not count it. Table
-// prefixes (the rows of L*'s S ∪ S·Σ and KV's access strings and their
-// one-symbol extensions) still get a node in the dead region, marked
-// dead, because the tables index rows by node.
+// The learner decides the region per trie node. A node below a dead
+// one is dead; a live node asks DeadStep for each child it lacks. A
+// table cell whose word is dead is filled No on the spot: no node is
+// created below the dead step, the cell is not asked through
+// Member/MemberID, and Stats.MembershipQueries does not count it.
+// Only table prefixes get a node in the dead region, marked dead,
+// because the tables index rows by node: L*'s prefixes in S, and KV's
+// access strings and their one-symbol extensions. A dead one-symbol
+// extension of L*'s S gets none. Its row is all zeros, the one sink
+// row every such extension shares, until the closedness scan promotes
+// the first of them into S when S does not realize that row yet.
 //
 // Dead words are keyed by (anchor, rest): anchor is the node of the
 // word's longest live prefix, rest the ID of the remaining symbols in
@@ -32,7 +34,7 @@ package angluin
 type Deducer interface {
 	// DeadStep reports whether the word of live node p extended by the
 	// symbol sym lies in the dead region. It is asked only for children
-	// p lacks, never while a batch is in flight.
+	// p lacks, and may be asked again about a child that stays absent.
 	DeadStep(p, sym int32) bool
 	// Deduced reports a dead word the learner has just seen for the
 	// first time and answered No; anchor and rest are its key
@@ -48,6 +50,9 @@ func (w *Words) key(id int32) (deadKey, bool) {
 	n := w.node(id)
 	return deadKey{n.anchor, n.rest}, n.anchor >= 0
 }
+
+// dead reports whether node id lies in the dead region.
+func (w *Words) dead(id int32) bool { return w.node(id).anchor >= 0 }
 
 // Parent returns the node of id's word without its last symbol (-1 for
 // ε).

@@ -97,34 +97,6 @@ func (t deducingTeacher) Deduced(anchor, rest int32) {
 	t.dead = append(t.dead, strings.Join(t.words.AppendDeadWord(nil, anchor, rest), "/"))
 }
 
-// batchRegionTeacher adds the ID batch form.
-type batchRegionTeacher struct{ *regionTeacher }
-
-func (t batchRegionTeacher) MemberBatchIDs(ids []int32) ([]bool, error) {
-	out := make([]bool, len(ids))
-	for i, id := range ids {
-		v, err := t.MemberID(id)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-type batchDeducingTeacher struct {
-	batchRegionTeacher
-	deducingTeacher
-}
-
-func (t batchDeducingTeacher) Member(w []string) (bool, error) { return t.batchRegionTeacher.Member(w) }
-func (t batchDeducingTeacher) MemberID(id int32) (bool, error) {
-	return t.batchRegionTeacher.MemberID(id)
-}
-func (t batchDeducingTeacher) Equivalent(h *pathre.DFA) ([]string, bool, error) {
-	return t.batchRegionTeacher.Equivalent(h)
-}
-
 // regionRun is one learning run's observable outcome.
 type regionRun struct {
 	hyp   string
@@ -133,26 +105,25 @@ type regionRun struct {
 	nodes int // the Words' node count
 }
 
-// runRegion learns target with the given learner, protocol and teacher
-// kind over one Words; with failEQ > 0 the first attempt aborts at that
+// runRegion learns target with the given learner and teacher kind over
+// one Words; with failEQ > 0 the first attempt aborts at that
 // equivalence query and a second Learn restarts over the same Words.
-func runRegion(t *testing.T, target *pathre.DFA, alph []string, kv, batched, deduce bool, failEQ int) regionRun {
+// An L* run under a deducing teacher must leave no dead node outside
+// its final S: a sink extension gets a node only when it is promoted
+// into S.
+func runRegion(t *testing.T, target *pathre.DFA, alph []string, kv, deduce bool, failEQ int) regionRun {
 	t.Helper()
 	w := NewWords(nil, alph)
 	defer w.Release()
 	rt := &regionTeacher{target: target, words: w, failEQ: failEQ}
-	var teacher Teacher
-	switch {
-	case batched && deduce:
-		teacher = batchDeducingTeacher{batchRegionTeacher{rt}, deducingTeacher{rt}}
-	case batched:
-		teacher = batchRegionTeacher{rt}
-	case deduce:
+	var teacher Teacher = rt
+	if deduce {
 		teacher = deducingTeacher{rt}
-	default:
-		teacher = rt
 	}
-	learn := Learn
+	sc := new(scratch)
+	learn := func(alph []string, t Teacher, opts ...Option) (*pathre.DFA, Stats, error) {
+		return learnIn(sc, alph, t, opts...)
+	}
 	if kv {
 		learn = LearnKV
 	}
@@ -167,6 +138,13 @@ func runRegion(t *testing.T, target *pathre.DFA, alph []string, kv, batched, ded
 		if err != nil {
 			t.Fatal(err)
 		}
+		if deduce && !kv {
+			for id := int32(0); id < int32(w.Len()); id++ {
+				if w.dead(id) && !slices.Contains(sc.s, id) {
+					t.Fatalf("dead node %v lies outside S %v", w.Word(id), sc.s)
+				}
+			}
+		}
 		return regionRun{hyp: fmt.Sprint(h.Start, h.Accept, h.Trans), stats: total, rt: rt, nodes: w.Len()}
 	}
 }
@@ -177,8 +155,7 @@ func runRegion(t *testing.T, target *pathre.DFA, alph []string, kv, batched, ded
 // same hypothesis as one whose teacher is asked every word, ask the
 // teacher exactly the reference's live words in the same order, and
 // report each of the reference's dead words to Deduced exactly once —
-// for L* and KV, serial and batched, and across a restart over a reused
-// Words.
+// for L* and KV, and across a restart over a reused Words.
 func TestDeductionMatchesReference(t *testing.T) {
 	alph := []string{"a", "b", "c"}
 	r := rand.New(rand.NewSource(16))
@@ -186,51 +163,49 @@ func TestDeductionMatchesReference(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		target := deadRegionTarget(r, alph)
 		for _, kv := range []bool{false, true} {
-			for _, batched := range []bool{false, true} {
-				for _, failEQ := range []int{0, 2} {
-					name := fmt.Sprintf("trial %d kv=%v batched=%v failEQ=%d", trial, kv, batched, failEQ)
-					ref := runRegion(t, target, alph, kv, batched, false, failEQ)
-					got := runRegion(t, target, alph, kv, batched, true, failEQ)
-					if got.hyp != ref.hyp {
-						t.Fatalf("%s: hypothesis %s, reference %s", name, got.hyp, ref.hyp)
-					}
-					var live, dead []string
-					for _, w := range ref.rt.asked {
-						var word []string
-						if w != "" {
-							word = strings.Split(w, "/")
-						}
-						if ref.rt.state(word) == 0 {
-							dead = append(dead, w)
-						} else {
-							live = append(live, w)
-						}
-					}
-					if !slices.Equal(got.rt.asked, live) {
-						t.Fatalf("%s: teacher asked %v, reference's live words %v", name, got.rt.asked, live)
-					}
-					slices.Sort(dead)
-					gotDead := slices.Clone(got.rt.dead)
-					slices.Sort(gotDead)
-					if !slices.Equal(gotDead, dead) {
-						t.Fatalf("%s: deduced %v, reference's dead words %v", name, got.rt.dead, dead)
-					}
-					if got.stats.EquivalenceQueries != ref.stats.EquivalenceQueries {
-						t.Fatalf("%s: %d equivalence queries, reference %d", name,
-							got.stats.EquivalenceQueries, ref.stats.EquivalenceQueries)
-					}
-					// Within one Learn the learner asks each word once, so
-					// without a restart its count is the teacher's; deduced
-					// words are not counted.
-					if failEQ == 0 && (got.stats.MembershipQueries != len(live) || ref.stats.MembershipQueries != len(ref.rt.asked)) {
-						t.Fatalf("%s: %d membership queries for %d live words (reference %d for %d)", name,
-							got.stats.MembershipQueries, len(live), ref.stats.MembershipQueries, len(ref.rt.asked))
-					}
-					if got.nodes > ref.nodes {
-						t.Fatalf("%s: %d trie nodes, reference %d", name, got.nodes, ref.nodes)
-					}
-					deduced += len(got.rt.dead)
+			for _, failEQ := range []int{0, 2} {
+				name := fmt.Sprintf("trial %d kv=%v failEQ=%d", trial, kv, failEQ)
+				ref := runRegion(t, target, alph, kv, false, failEQ)
+				got := runRegion(t, target, alph, kv, true, failEQ)
+				if got.hyp != ref.hyp {
+					t.Fatalf("%s: hypothesis %s, reference %s", name, got.hyp, ref.hyp)
 				}
+				var live, dead []string
+				for _, w := range ref.rt.asked {
+					var word []string
+					if w != "" {
+						word = strings.Split(w, "/")
+					}
+					if ref.rt.state(word) == 0 {
+						dead = append(dead, w)
+					} else {
+						live = append(live, w)
+					}
+				}
+				if !slices.Equal(got.rt.asked, live) {
+					t.Fatalf("%s: teacher asked %v, reference's live words %v", name, got.rt.asked, live)
+				}
+				slices.Sort(dead)
+				gotDead := slices.Clone(got.rt.dead)
+				slices.Sort(gotDead)
+				if !slices.Equal(gotDead, dead) {
+					t.Fatalf("%s: deduced %v, reference's dead words %v", name, got.rt.dead, dead)
+				}
+				if got.stats.EquivalenceQueries != ref.stats.EquivalenceQueries {
+					t.Fatalf("%s: %d equivalence queries, reference %d", name,
+						got.stats.EquivalenceQueries, ref.stats.EquivalenceQueries)
+				}
+				// Within one Learn the learner asks each word once, so
+				// without a restart its count is the teacher's; deduced
+				// words are not counted.
+				if failEQ == 0 && (got.stats.MembershipQueries != len(live) || ref.stats.MembershipQueries != len(ref.rt.asked)) {
+					t.Fatalf("%s: %d membership queries for %d live words (reference %d for %d)", name,
+						got.stats.MembershipQueries, len(live), ref.stats.MembershipQueries, len(ref.rt.asked))
+				}
+				if got.nodes > ref.nodes {
+					t.Fatalf("%s: %d trie nodes, reference %d", name, got.nodes, ref.nodes)
+				}
+				deduced += len(got.rt.dead)
 			}
 		}
 	}

@@ -33,10 +33,8 @@ type ctNode struct {
 func (n *ctNode) isLeaf() bool { return n.yes == nil && n.no == nil }
 
 // kvLearner carries the algorithm state. KV's sift chain is adaptive —
-// each probe depends on the previous answer — so unlike L*'s table
-// fills the probes cannot be merged into query sets without reordering
-// the dialogue: KV asks every probe on its own and ignores the
-// teacher's batch forms.
+// each probe depends on the previous answer — so KV, like L*, asks
+// every probe on its own.
 type kvLearner struct {
 	alphabet []string
 	teacher  Teacher

@@ -10,29 +10,18 @@ import (
 	"repro/internal/pathre"
 )
 
-// idBatchTeacher answers from a target DFA through the ID seam only,
-// reading each word back from the Words it shares with the learner into
-// a reused buffer; its answer slice is reused too, so a wave costs the
-// teacher no allocation.
-type idBatchTeacher struct {
+// idTeacher answers from a target DFA through the ID seam, reading
+// each word back from the Words it shares with the learner into a
+// reused buffer.
+type idTeacher struct {
 	perfectTeacher
 	words *Words
 	buf   []string
-	out   []bool
 }
 
-func (t *idBatchTeacher) MemberID(id int32) (bool, error) {
+func (t *idTeacher) MemberID(id int32) (bool, error) {
 	t.buf = t.words.AppendWord(t.buf[:0], id)
 	return t.target.Accepts(t.buf), nil
-}
-
-func (t *idBatchTeacher) MemberBatchIDs(ids []int32) ([]bool, error) {
-	t.out = t.out[:0]
-	for _, id := range ids {
-		v, _ := t.MemberID(id)
-		t.out = append(t.out, v)
-	}
-	return t.out, nil
 }
 
 // symbols returns n distinct symbols.
@@ -62,12 +51,15 @@ func randomDFA(r *rand.Rand, alpha []string, n int) *pathre.DFA {
 	return d
 }
 
-// tableRun is one finished L* run: its result and its observation
-// table's rows, keyed by prefix word, for every S and S·Σ prefix.
+// tableRun is one finished L* run: its result, its observation
+// table's rows, keyed by prefix word, for every S and S·Σ prefix (a
+// sink extension reads the sink row), and the number of S·Σ prefixes
+// that were sinks.
 type tableRun struct {
 	d     *pathre.DFA
 	stats Stats
 	rows  map[string]string
+	sinks int
 }
 
 // learnTable runs L* to the end over a caller-owned Words and snapshots
@@ -85,78 +77,93 @@ func learnTable(t *testing.T, alpha []string, teach Teacher, words *Words) table
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := map[string]string{}
-	snap := func(id int32) {
-		bits := l.rowEnts[l.rowOf[id]].bits
+	run := tableRun{d: d, stats: st, rows: map[string]string{}}
+	snap := func(word []string, bits []byte) {
 		if len(bits) != len(l.e) {
-			t.Fatalf("row %v has %d of %d columns after the run", words.Word(id), len(bits), len(l.e))
+			t.Fatalf("row %v has %d of %d columns after the run", word, len(bits), len(l.e))
 		}
-		rows["/"+strings.Join(words.Word(id), "/")] = string(bits)
+		run.rows["/"+strings.Join(word, "/")] = string(bits)
 	}
 	for _, sid := range l.s {
-		snap(sid)
-		for ai := range l.alphabet {
-			snap(l.extID(sid, ai))
+		snap(words.Word(sid), l.rowEnts[l.rowOf[sid]].bits)
+		for ai, a := range l.alphabet {
+			if eid := l.ext(sid, ai); eid >= 0 {
+				snap(words.Word(eid), l.rowEnts[l.rowOf[eid]].bits)
+			} else {
+				snap(append(words.Word(sid), a), l.sinkRow())
+				run.sinks++
+			}
 		}
 	}
-	return tableRun{d, st, rows}
+	return run
 }
 
 // TestRowFillOracle is the row fill's oracle property. On random
-// targets over alphabets of 1, 77 and 256 symbols, the same L* run
-// through a serial Teacher (row calls walk and ask cell by cell),
-// through SerialAdapter (prefill fills the rows from a word wave) and
-// through an ID batch teacher (prefill fills them from an ID wave) must
-// give the same dialogue, the same row bits for every S and S·Σ prefix
-// and the same DFA. The two batch seams must agree on every Stats
-// field, transport counters included.
+// targets over alphabets of 1, 77 and 256 symbols:
+//   - the same L* run through a plain Teacher (asked words) and through
+//     an ID teacher (asked word IDs) gives the same dialogue, the same
+//     row bits for every S and S·Σ prefix and the same DFA;
+//   - on a target with a prefix-closed dead region, a run whose teacher
+//     deduces the region gives the plain run's S, row bits and DFA,
+//     with every sink extension reading the sink row, and asks fewer
+//     words.
 func TestRowFillOracle(t *testing.T) {
+	sinks := 0
 	for _, nsym := range []int{1, 77, 256} {
 		alpha := symbols(nsym)
 		r := rand.New(rand.NewSource(int64(nsym)))
 		for trial := 0; trial < 20; trial++ {
+			at := fmt.Sprintf("%d symbols, trial %d", nsym, trial)
 			target := randomDFA(r, alpha, 2+r.Intn(7))
 			serialWords := NewWords(nil, alpha)
 			serial := learnTable(t, alpha, &perfectTeacher{target}, serialWords)
-			adaptWords := NewWords(nil, alpha)
-			adapted := learnTable(t, alpha, SerialAdapter{T: &perfectTeacher{target}}, adaptWords)
 			idWords := NewWords(nil, alpha)
-			ids := learnTable(t, alpha, &idBatchTeacher{perfectTeacher: perfectTeacher{target}, words: idWords}, idWords)
-
+			ids := learnTable(t, alpha, &idTeacher{perfectTeacher: perfectTeacher{target}, words: idWords}, idWords)
 			if w, diff := target.Distinguish(serial.d); diff {
-				t.Fatalf("%d symbols, trial %d: serial run learned a wrong language, witness %v", nsym, trial, w)
+				t.Fatalf("%s: serial run learned a wrong language, witness %v", at, w)
 			}
-			if adapted.stats != ids.stats {
-				t.Fatalf("%d symbols, trial %d: stats differ\nSerialAdapter %+v\nID batch      %+v",
-					nsym, trial, adapted.stats, ids.stats)
+			if serial.stats != ids.stats {
+				t.Fatalf("%s: dialogue differs\nserial %+v\nID     %+v", at, serial.stats, ids.stats)
 			}
-			if ids.stats.BatchRounds == 0 {
-				t.Fatalf("%d symbols, trial %d: no wave reached the ID batch teacher", nsym, trial)
+			sameTable(t, at+", ID teacher", ids, serial)
+
+			dtarget := deadRegionTarget(r, alpha)
+			refWords := NewWords(nil, alpha)
+			ref := learnTable(t, alpha, &perfectTeacher{dtarget}, refWords)
+			dedWords := NewWords(nil, alpha)
+			ded := learnTable(t, alpha, deducingTeacher{&regionTeacher{target: dtarget, words: dedWords}}, dedWords)
+			sameTable(t, at+", deducing teacher", ded, ref)
+			if a, b := ded.stats, ref.stats; a.EquivalenceQueries != b.EquivalenceQueries ||
+				a.HypothesisStates != b.HypothesisStates || a.MembershipQueries > b.MembershipQueries {
+				t.Fatalf("%s: deducing dialogue %+v, reference %+v", at, a, b)
 			}
-			s, b := serial.stats, ids.stats
-			b.BatchRounds, b.BatchedQueries = 0, 0
-			if s != b {
-				t.Fatalf("%d symbols, trial %d: dialogue differs\nserial %+v\nbatch  %+v", nsym, trial, serial.stats, ids.stats)
+			if ref.sinks != 0 {
+				t.Fatalf("%s: a run without a Deducer read %d sink rows", at, ref.sinks)
 			}
-			for name, run := range map[string]tableRun{"SerialAdapter": adapted, "ID batch": ids} {
-				if len(run.rows) != len(serial.rows) {
-					t.Fatalf("%d symbols, trial %d: %s table has %d rows, serial %d",
-						nsym, trial, name, len(run.rows), len(serial.rows))
-				}
-				for p, bits := range serial.rows {
-					if run.rows[p] != bits {
-						t.Fatalf("%d symbols, trial %d: %s row %s = %q, serial %q",
-							nsym, trial, name, p, run.rows[p], bits)
-					}
-				}
-				if got, want := fmt.Sprint(run.d.Start, run.d.Accept, run.d.Trans), fmt.Sprint(serial.d.Start, serial.d.Accept, serial.d.Trans); got != want {
-					t.Fatalf("%d symbols, trial %d: %s learned DFA %s, serial %s", nsym, trial, name, got, want)
-				}
+			sinks += ded.sinks
+			for _, w := range []*Words{serialWords, idWords, refWords, dedWords} {
+				w.Release()
 			}
-			serialWords.Release()
-			adaptWords.Release()
-			idWords.Release()
 		}
+	}
+	if sinks == 0 {
+		t.Fatal("no run read a sink row")
+	}
+}
+
+// sameTable fails unless run has want's rows and DFA.
+func sameTable(t *testing.T, at string, run, want tableRun) {
+	t.Helper()
+	if len(run.rows) != len(want.rows) {
+		t.Fatalf("%s: table has %d rows, want %d", at, len(run.rows), len(want.rows))
+	}
+	for p, bits := range want.rows {
+		if run.rows[p] != bits {
+			t.Fatalf("%s: row %s = %q, want %q", at, p, run.rows[p], bits)
+		}
+	}
+	if got, want := fmt.Sprint(run.d.Start, run.d.Accept, run.d.Trans), fmt.Sprint(want.d.Start, want.d.Accept, want.d.Trans); got != want {
+		t.Fatalf("%s: learned DFA %s, want %s", at, got, want)
 	}
 }
 
@@ -176,8 +183,8 @@ func TestHypothesisNotClosed(t *testing.T) {
 	l.grow()
 	// S = {ε}, E = {ε}: row(ε) = 0, row(a) = 1, so the table is not
 	// closed and close() was never run.
-	l.s = append(l.s[:0], 0)
-	l.rowEnt(0).inS = true
+	l.s = l.s[:0]
+	l.addPrefix(0)
 	l.e = [][]string{{}}
 	l.eSyms = [][]int32{{}}
 	_, err = l.hypothesis()

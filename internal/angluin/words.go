@@ -8,13 +8,13 @@ import "sync"
 // cells, counterexamples — is a node reached by walking symbol IDs from
 // the ε root, and the node's int32 ID is the word's one identity from
 // the observation table through the teacher seam: the learner's
-// membership table is an array indexed by ID, and IDTeacher /
-// IDBatchTeacher receive only the ID, so a teacher keeping
-// its own answer state indexes it the same way and reads the word back
-// (Depth, LastSym, AppendWord) only when it needs it. No per-word key
-// string is ever built. Under a teacher's dead region (see Deducer)
-// the trie holds only live words and the table prefixes; a dead cell's
-// word is keyed in a side intern instead of getting a node.
+// membership table is an array indexed by ID, and an IDTeacher
+// receives only the ID, so a teacher keeping its own answer state
+// indexes it the same way and reads the word back (Depth, LastSym,
+// AppendWord) only when it needs it. No per-word key string is ever
+// built. Under a teacher's dead region (see Deducer) the trie holds
+// only live words and the table prefixes; a dead cell's word is keyed
+// in a side intern instead of getting a node.
 //
 // IDs are dense, append-only and never reassigned, so they stay valid
 // for the life of the Words: a caller that learns one target over
@@ -397,8 +397,9 @@ func (w *Words) AppendWord(dst []string, id int32) []string {
 	n := int(w.node(id).depth)
 	base := len(dst)
 	if cap(dst) < base+n {
-		// Grow like append: doubling keeps a flat multi-word buffer (the
-		// batch wave's) amortized-linear instead of copy-per-word.
+		// Grow like append: doubling keeps a buffer that words are
+		// appended to one after another amortized-linear instead of
+		// copy-per-word.
 		c := 2 * cap(dst)
 		if c < base+n {
 			c = base + n

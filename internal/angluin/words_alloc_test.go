@@ -4,6 +4,7 @@ package angluin
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -52,17 +53,17 @@ func TestWarmLearnAllocatesNoPage(t *testing.T) {
 	}
 }
 
-// TestIDWaveAllocs pins the ID seam's wave cost: on warm scratch, a
-// prefill wave to an ID batch teacher walks each cell once, fills the
-// rows, and allocates nothing; no word is built for the teacher, so the
-// word scratch stays empty. (Tagged out under -race, whose
-// instrumentation allocates.)
+// TestIDWaveAllocs pins the cost of the one fill path: on warm
+// scratch, a wave of row fills — every row of S and of S·Σ, the sink
+// rows of a deduced dead region included, with every sink cell
+// reported — asks by word ID, builds no word and allocates nothing.
+// (Tagged out under -race, whose instrumentation allocates.)
 func TestIDWaveAllocs(t *testing.T) {
 	alpha := symbols(77)
-	target := pathre.Compile(pathre.MustParsePath("/s000/s001//s002"), alpha)
+	target := deadRegionTarget(rand.New(rand.NewSource(7)), alpha)
 	words := NewWords(nil, alpha)
 	defer words.Release()
-	teach := &idBatchTeacher{perfectTeacher: perfectTeacher{target}, words: words}
+	teach := deducingTeacher{&regionTeacher{target: target, words: words}}
 	l, err := newLearner(alpha, teach, WithWords(words))
 	if err != nil {
 		t.Fatal(err)
@@ -70,40 +71,43 @@ func TestIDWaveAllocs(t *testing.T) {
 	l.adopt(new(scratch))
 	l.grow()
 	// S = {ε, s000, s000·s001}, E = {ε, s002, s001·s002}.
-	l.s = append(l.s[:0], 0)
-	l.rowEnt(0).inS = true
+	l.s = l.s[:0]
+	l.addPrefix(0)
 	l.addPrefix(l.internWord(alpha[:1]))
 	l.addPrefix(l.internWord(alpha[:2]))
 	l.e = [][]string{{}, {alpha[2]}, {alpha[1], alpha[2]}}
 	l.eSyms = [][]int32{{}, {words.alpha[2]}, {words.alpha[1], words.alpha[2]}}
+	sinks := 0
 	wave := func() {
 		clear(l.ans)
 		for i := range l.rowEnts {
 			l.rowEnts[i].bits = l.rowEnts[i].bits[:0]
 		}
-		l.prefilled = 0
-		if err := l.prefill(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wave() // grows the trie and every buffer
-	queries := l.stats.BatchedQueries
-	if allocs := testing.AllocsPerRun(20, wave); allocs != 0 {
-		t.Errorf("a warm wave of %d ID queries allocates %.1f objects, want 0", queries, allocs)
-	}
-	if queries == 0 {
-		t.Fatal("the wave asked nothing")
-	}
-	if len(l.wvSyms) != 0 || cap(l.wvSyms) != 0 || len(l.wvWords) != 0 || len(l.wb) != 0 {
-		t.Errorf("ID waves built words: wvSyms %d/%d, wvWords %d, wb %d",
-			len(l.wvSyms), cap(l.wvSyms), len(l.wvWords), len(l.wb))
-	}
-	for _, sid := range l.s {
-		for ai := range alpha {
-			id := l.extID(sid, ai)
-			if got := len(l.rowEnts[l.rowOf[id]].bits); got != len(l.e) {
-				t.Fatalf("row %v has %d of %d columns after the wave", words.Word(id), got, len(l.e))
+		sinks = 0
+		for _, sid := range l.s {
+			if _, err := l.row(sid); err != nil {
+				t.Fatal(err)
+			}
+			for ai := range alpha {
+				if l.ext(sid, ai) < 0 {
+					l.deduceSink(sid, ai, 0)
+					sinks++
+				}
+				if r, err := l.extRow(sid, ai); err != nil || len(r) != len(l.e) {
+					t.Fatalf("extension row %q of %d columns (err %v), want %d", r, len(r), err, len(l.e))
+				}
 			}
 		}
+	}
+	wave() // grows the trie, the rest intern and every buffer
+	if allocs := testing.AllocsPerRun(20, wave); allocs != 0 {
+		t.Errorf("a warm wave of row fills allocates %.1f objects, want 0", allocs)
+	}
+	if l.stats.MembershipQueries == 0 || sinks == 0 || len(teach.dead) == 0 {
+		t.Fatalf("the wave asked %d words and read %d sink rows reporting %d dead words, want some of each",
+			l.stats.MembershipQueries, sinks, len(teach.dead))
+	}
+	if len(l.wb) != 0 {
+		t.Errorf("an ID teacher was asked through built words: wb %d", len(l.wb))
 	}
 }

@@ -110,14 +110,13 @@ func TestTrieSharedSymbolTable(t *testing.T) {
 }
 
 // seamLog records, in order, every membership query a teacher double
-// receives, as joined words; a batch round trip is bracketed by "[" and
-// "]" so serial and batched logs never compare equal by accident.
+// receives, as joined words.
 type seamLog []string
 
 func (g *seamLog) add(w []string) { *g = append(*g, strings.Join(w, "\x00")) }
 
 // wordRecorder is a plain-word teacher that logs each word it is
-// asked; wordBatchRecorder adds the word batch seam.
+// asked.
 type wordRecorder struct {
 	perfectTeacher
 	log seamLog
@@ -126,18 +125,6 @@ type wordRecorder struct {
 func (r *wordRecorder) Member(w []string) (bool, error) {
 	r.log.add(w)
 	return r.perfectTeacher.Member(w)
-}
-
-type wordBatchRecorder struct{ *wordRecorder }
-
-func (r wordBatchRecorder) MemberBatch(words [][]string) ([]bool, error) {
-	r.log = append(r.log, "[")
-	out := make([]bool, len(words))
-	for i, w := range words {
-		out[i], _ = r.Member(w)
-	}
-	r.log = append(r.log, "]")
-	return out, nil
 }
 
 // idRecorder is an ID teacher: it receives word IDs only and logs the
@@ -176,38 +163,18 @@ func (r *idRecorder) Member([]string) (bool, error) {
 	return false, errors.New("idRecorder: the learner must prefer MemberID")
 }
 
-type idBatchRecorder struct{ *idRecorder }
-
-func (r idBatchRecorder) MemberBatchIDs(ids []int32) ([]bool, error) {
-	r.log = append(r.log, "[")
-	out := make([]bool, len(ids))
-	for i, id := range ids {
-		out[i], _ = r.MemberID(id)
-	}
-	r.log = append(r.log, "]")
-	return out, nil
-}
-
-func (r idBatchRecorder) MemberBatch([][]string) ([]bool, error) {
-	return nil, errors.New("idBatchRecorder: the learner must prefer MemberBatchIDs")
-}
-
 // TestIDBatchIDsRoundTrip is the word-ID contract of the teacher seam.
 // It learns one target through the plain word seam and through the ID
-// seam, serially and batched, with L* and with KV, for both child
-// regimes of the trie; the ID teacher learns twice over one Words. It
-// checks that
+// seam, with L* and with KV, for both child regimes of the trie; the
+// ID teacher learns twice over one Words. It checks that
 //   - every ID delivered resolves, through Words.Word, to exactly the
 //     word the plain-Teacher path receives at the same point of the
-//     dialogue (the logs are equal, batch brackets included);
-//   - a teacher offering both forms is asked through the ID forms only
-//     (the ID doubles fail their word methods);
+//     dialogue (the logs are equal);
+//   - a teacher offering both forms is asked through the ID form only
+//     (the ID double fails its word method);
 //   - one word always comes with one ID and distinct words with
 //     distinct IDs, and the second Learn on one Words asks the same
-//     words under the same IDs;
-//   - the serial and batched dialogues are identical; KV asks every
-//     probe alone, through MemberID or Member, even when the teacher
-//     offers the batch forms.
+//     words under the same IDs.
 func TestIDBatchIDsRoundTrip(t *testing.T) {
 	learners := []struct {
 		name  string
@@ -223,65 +190,41 @@ func TestIDBatchIDsRoundTrip(t *testing.T) {
 func roundTrip(t *testing.T, name string, learn func([]string, Teacher, ...Option) (*pathre.DFA, Stats, error), alpha []string) {
 	t.Helper()
 	target := pathre.Compile(pathre.MustParsePath("/site/regions//item"), alpha)
-	var dialogues [2]Stats
-	var learned [2]*pathre.DFA
-	for pi, batch := range []bool{false, true} {
-		at := fmt.Sprintf("%s, alphabet %d, batch=%v", name, len(alpha), batch)
-		plain := &wordRecorder{perfectTeacher: perfectTeacher{target}}
-		plainWords := NewWords(nil, alpha)
-		var plainT Teacher = plain
-		if batch {
-			plainT = wordBatchRecorder{plain}
-		}
-		plainD, plainSt, err := learn(alpha, plainT, WithWords(plainWords))
-		plainWords.Release()
-		if err != nil {
-			t.Fatalf("%s, plain: %v", at, err)
-		}
+	at := fmt.Sprintf("%s, alphabet %d", name, len(alpha))
+	plain := &wordRecorder{perfectTeacher: perfectTeacher{target}}
+	plainWords := NewWords(nil, alpha)
+	plainD, plainSt, err := learn(alpha, plain, WithWords(plainWords))
+	plainWords.Release()
+	if err != nil {
+		t.Fatalf("%s, plain: %v", at, err)
+	}
 
-		words := NewWords(NewSymbolTable(), alpha)
-		rec := &idRecorder{perfectTeacher: perfectTeacher{target}, t: t, words: words,
-			idOf: map[string]int32{}, wordOf: map[int32]string{}}
-		var teach Teacher = rec
-		if batch {
-			teach = idBatchRecorder{rec}
+	words := NewWords(NewSymbolTable(), alpha)
+	defer words.Release()
+	rec := &idRecorder{perfectTeacher: perfectTeacher{target}, t: t, words: words,
+		idOf: map[string]int32{}, wordOf: map[int32]string{}}
+	for run := 0; run < 2; run++ {
+		before := len(rec.idOf)
+		rec.log = rec.log[:0]
+		d, st, err := learn(alpha, rec, WithWords(words))
+		if err != nil {
+			t.Fatalf("%s, run %d: %v", at, run, err)
 		}
-		for run := 0; run < 2; run++ {
-			before := len(rec.idOf)
-			rec.log = rec.log[:0]
-			d, st, err := learn(alpha, teach, WithWords(words))
-			if err != nil {
-				t.Fatalf("%s, run %d: %v", at, run, err)
-			}
-			if run == 1 && len(rec.idOf) != before {
-				t.Errorf("%s: second Learn asked %d new words, want the same words", at, len(rec.idOf)-before)
-			}
-			if used := st.BatchRounds > 0; used != (batch && name == "lstar") {
-				t.Fatalf("%s: %d batch rounds", at, st.BatchRounds)
-			}
-			if got, want := strings.Join(rec.log, "|"), strings.Join(plain.log, "|"); got != want {
-				t.Fatalf("%s, run %d: ID seam delivered\n%q\nplain seam\n%q", at, run, got, want)
-			}
-			if st != plainSt {
-				t.Fatalf("%s: stats %+v, plain seam %+v", at, st, plainSt)
-			}
-			if w, diff := d.Distinguish(plainD); diff {
-				t.Fatalf("%s: seams learned different languages, witness %v", at, w)
-			}
-			dialogues[pi], learned[pi] = st, d
+		if run == 1 && len(rec.idOf) != before {
+			t.Errorf("%s: second Learn asked %d new words, want the same words", at, len(rec.idOf)-before)
 		}
-		if len(rec.idOf) == 0 {
-			t.Fatalf("%s: no queries recorded", at)
+		if got, want := strings.Join(rec.log, "|"), strings.Join(plain.log, "|"); got != want {
+			t.Fatalf("%s, run %d: ID seam delivered\n%q\nplain seam\n%q", at, run, got, want)
 		}
-		words.Release()
+		if st != plainSt {
+			t.Fatalf("%s: stats %+v, plain seam %+v", at, st, plainSt)
+		}
+		if w, diff := d.Distinguish(plainD); diff {
+			t.Fatalf("%s: seams learned different languages, witness %v", at, w)
+		}
 	}
-	if w, diff := learned[0].Distinguish(learned[1]); diff {
-		t.Fatalf("%s, alphabet %d: serial and batched learned different languages, witness %v", name, len(alpha), w)
-	}
-	a, b := dialogues[0], dialogues[1]
-	if a.MembershipQueries != b.MembershipQueries || a.EquivalenceQueries != b.EquivalenceQueries ||
-		a.Counterexamples != b.Counterexamples {
-		t.Fatalf("%s, alphabet %d: dialogue diverged\nserial  %+v\nbatched %+v", name, len(alpha), a, b)
+	if len(rec.idOf) == 0 {
+		t.Fatalf("%s: no queries recorded", at)
 	}
 }
 
@@ -333,30 +276,21 @@ func TestIDTeacherNeedsWords(t *testing.T) {
 func TestScratchPinsNoSymbols(t *testing.T) {
 	sc := new(scratch)
 	big := pathre.Compile(pathre.MustParsePath("/site//(item|name)"), wideAlphabet())
-	if _, _, err := learnIn(sc, wideAlphabet(), &batchTeacher{perfectTeacher: perfectTeacher{big}}); err != nil {
+	if _, _, err := learnIn(sc, wideAlphabet(), &perfectTeacher{big}); err != nil {
 		t.Fatal(err)
 	}
-	bigCap := cap(sc.wvSyms)
+	bigCap := cap(sc.wb)
 	small := pathre.Compile(pathre.MustParsePath("/site"), alphabet)
 	words := NewWords(nil, alphabet)
-	if _, _, err := learnIn(sc, alphabet, &batchTeacher{perfectTeacher: perfectTeacher{small}}, WithWords(words)); err != nil {
+	if _, _, err := learnIn(sc, alphabet, &perfectTeacher{small}, WithWords(words)); err != nil {
 		t.Fatal(err)
 	}
-	if cap(sc.wvSyms) < bigCap {
-		t.Fatalf("scratch lost capacity: %d < %d", cap(sc.wvSyms), bigCap)
+	if cap(sc.wb) < bigCap {
+		t.Fatalf("scratch lost capacity: %d < %d", cap(sc.wb), bigCap)
 	}
-	for name, buf := range map[string][]string{
-		"wb": sc.wb[:cap(sc.wb)], "wvSyms": sc.wvSyms[:cap(sc.wvSyms)],
-	} {
-		for i, s := range buf {
-			if s != "" {
-				t.Fatalf("pooled %s[%d] pins %q", name, i, s)
-			}
-		}
-	}
-	for i, w := range sc.wvWords[:cap(sc.wvWords)] {
-		if w != nil {
-			t.Fatalf("pooled wvWords[%d] pins %v", i, w)
+	for i, s := range sc.wb[:cap(sc.wb)] {
+		if s != "" {
+			t.Fatalf("pooled wb[%d] pins %q", i, s)
 		}
 	}
 	words.Release()

@@ -65,14 +65,9 @@ type SessionV1 struct {
 	// Verified and Stats are set once the session is done.
 	Verified *bool    `json:"verified,omitempty"`
 	Stats    *StatsV1 `json:"stats,omitempty"`
-	// BatchedMQs (schema version 4) counts the membership queries the
-	// session's L* learner shipped in query sets, answered locally; zero
-	// for sessions learned over the serial protocol.
-	// The KV learner asks every probe on its own, so a KV session counts
-	// none. It is a transport count, not a dialogue count: the learner
-	// answers the words in rule R1's dead region itself (see
-	// angluin.Deducer), so they never ship in a batch, while the
-	// dialogue counters in Stats still charge every word.
+	// BatchedMQs (schema version 4) is always zero and so omitted: the
+	// learner ships no membership query sets (see SpeculationV1). The
+	// field stays because V1 fields are frozen.
 	BatchedMQs int `json:"batched_mqs,omitempty"`
 }
 

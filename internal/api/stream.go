@@ -56,10 +56,10 @@ type HypothesisV1 struct {
 // protocol's transport bookkeeping, disjoint from the dialogue counters
 // in StatsV1 (which the protocol reproduces byte-for-byte). The fragment
 // mirror is the protocol's only speculation: Prefetches and
-// MirrorAnswers count it, and Kept/Discarded are always zero, kept only
-// because V1 fields are frozen. BatchRounds/BatchedMQ count L*'s query
-// sets alone; the KV learner asks every probe on its own, so a KV
-// session reports zero there.
+// MirrorAnswers count it. Kept/Discarded and BatchRounds/BatchedMQ are
+// always zero, kept only because V1 fields are frozen: the learner has
+// one fill path and asks every membership query on its own, answered
+// from the mirror, so it ships no query sets to count.
 type SpeculationV1 struct {
 	Prefetches    int `json:"prefetches"`
 	MirrorAnswers int `json:"mirror_answers"`
@@ -74,8 +74,6 @@ func NewSpeculationV1(s core.SpeculationStats) SpeculationV1 {
 	return SpeculationV1{
 		Prefetches:    s.Prefetches,
 		MirrorAnswers: s.MirrorAnswers,
-		BatchRounds:   s.BatchRounds,
-		BatchedMQ:     s.BatchedMQ,
 		Kept:          s.Kept,
 		Discarded:     s.Discarded,
 	}

@@ -14,11 +14,11 @@ import (
 )
 
 // TestReducedWaveAllocs pins the steady-state allocation cost of the
-// learner's dominant query path: a query set whose every word rule R1
-// or R2 answers locally. Answers are stored in the fragment's ID-indexed
-// slice, so once that slice covers the Words, a wave allocates only the
-// answer slice it returns — nothing per query. (Build-tagged out under
-// -race: the detector's instrumentation allocates.)
+// learner's dominant query path: a run of membership queries whose
+// every word rule R1 or R2 answers locally. Answers are stored in the
+// fragment's ID-indexed slice, so once that slice covers the Words, a
+// run of queries allocates nothing. (Build-tagged out under -race: the
+// detector's instrumentation allocates.)
 func TestReducedWaveAllocs(t *testing.T) {
 	doc := xmldoc.MustParse(`<lib>
 	  <book><title>A</title></book>
@@ -53,35 +53,34 @@ func TestReducedWaveAllocs(t *testing.T) {
 	}
 	extend(nil)
 	ta := teacherAdapter{p}
-	wave := func() {
+	run := func() {
 		for _, id := range ids {
 			if int(id) < len(p.ans) {
 				p.ans[id] = pans{} // forget the answers so the rules run again
 			}
 		}
-		ans, err := ta.MemberBatchIDs(ids)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, v := range ans {
+		for i, id := range ids {
+			v, err := ta.MemberID(id)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if v {
 				t.Fatalf("%v answered Yes, want an R1/R2 No", words[i])
 			}
 		}
 	}
-	wave() // sizes the answer slice
+	run() // sizes the answer slice
 	const runs = 50
 	before := fs.ReducedTotal
-	allocs := testing.AllocsPerRun(runs, wave)
+	allocs := testing.AllocsPerRun(runs, run)
 	if got, want := fs.ReducedTotal-before, (runs+1)*len(words); got != want {
-		t.Fatalf("%d reduced answers over %d waves of %d words, want %d", got, runs+1, len(words), want)
+		t.Fatalf("%d reduced answers over %d runs of %d words, want %d", got, runs+1, len(words), want)
 	}
 	if fs.MQ != 0 {
 		t.Fatalf("%d queries reached the teacher, want 0", fs.MQ)
 	}
-	if allocs > 1 {
-		t.Errorf("a wave of %d reduced queries allocates %.1f objects, want <= 1 (the answer slice)",
-			len(words), allocs)
+	if allocs != 0 {
+		t.Errorf("a run of %d reduced queries allocates %.1f objects, want 0", len(words), allocs)
 	}
 }
 

@@ -295,22 +295,3 @@ func (p *pLearner) conditionBox(ce *xmldoc.Node) ([]BoxEntry, error) {
 	e.countMirrorAnswer()
 	return vs.boxes, nil
 }
-
-// memberBatchIDs answers one learner query set: the session context is
-// checked once, then each query runs through the membership pipeline in
-// index order — answered locally, from the fragment mirror under the
-// batched protocol — so the committed dialogue equals the serial one.
-func (p *pLearner) memberBatchIDs(ids []int32) ([]bool, error) {
-	if err := ctxErr(p.ctx); err != nil {
-		return nil, err
-	}
-	out := make([]bool, len(ids))
-	for i, id := range ids {
-		v, err := p.member(id)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}

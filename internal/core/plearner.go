@@ -72,7 +72,7 @@ func (e restartErr) Error() string { return "core: restart L*: " + e.reason }
 // pLearner learns one fragment: the path DFA (P-Learner) interleaved
 // with condition learning (C-Learner) and explicit Condition Boxes.
 type pLearner struct {
-	ctx     context.Context // the session context, checked per query set and EQ
+	ctx     context.Context // the session context, checked per membership query and EQ
 	eng     *Engine
 	frag    FragmentRef
 	pinCtx  map[string]*xmldoc.Node // pins for teacher extent queries
@@ -210,10 +210,17 @@ func (p *pLearner) bind() {
 	p.fst = p.sc.fst[:0]
 }
 
+// unbindHook, set by tests only, sees each fragment's Words as its
+// learning ends, before the Words is released.
+var unbindHook func(*angluin.Words)
+
 // unbind returns the word state to the pools.
 func (p *pLearner) unbind() {
 	p.sc.ans, p.sc.path, p.sc.fst = p.ans[:0], p.path[:0], p.fst[:0]
 	fragPool.Put(p.sc)
+	if unbindHook != nil {
+		unbindHook(p.words)
+	}
 	p.words.Release()
 	p.sc, p.words, p.ans, p.path, p.fst, p.posWords = nil, nil, nil, nil, nil, nil
 }
@@ -282,21 +289,14 @@ func (p *pLearner) condsHold(n *xmldoc.Node) bool {
 }
 
 // memberID implements the L* membership oracle for one query, the word
-// with ID id in p.words: the session context is checked, then the
-// answer comes from the rule pipeline (see member).
+// with ID id in p.words: the session context is checked, then the rule
+// pipeline answers — cache → R1 → R2 → ask the user about a
+// representative node. The rules decide from the word's trie node,
+// never from the word.
 func (p *pLearner) memberID(id int32) (bool, error) {
 	if err := ctxErr(p.ctx); err != nil {
 		return false, err
 	}
-	return p.member(id)
-}
-
-// member runs the rule pipeline — cache → R1 → R2 → ask the user about
-// a representative node — without checking the context; callers check
-// it once per query set, so a cancellation aborts the learner at the
-// next query-set boundary. The rules decide from the word's trie node,
-// never from the word.
-func (p *pLearner) member(id int32) (bool, error) {
 	if a, ok := p.answer(id); ok {
 		return a.ans, nil
 	}
@@ -705,12 +705,6 @@ func (p *pLearner) run() (*pathre.DFA, error) {
 			angluin.WithInitialExample(p.example.Path()),
 			angluin.WithMaxEquivalenceQueries(p.eng.Opts.MaxEQ),
 			angluin.WithWords(p.words))
-		// Fold the learner's transport bookkeeping into the session's
-		// (every attempt's work counts, restarts included); the dialogue
-		// counters live in FragmentStats and are charged by the oracle
-		// callbacks above, not here.
-		p.eng.spec.BatchRounds += stats.BatchRounds
-		p.eng.spec.BatchedMQ += stats.BatchedQueries
 		if err == nil {
 			p.stats.PathStates = stats.HypothesisStates
 			return d, nil
@@ -728,9 +722,8 @@ func (p *pLearner) run() (*pathre.DFA, error) {
 }
 
 // teacherAdapter exposes the pLearner as an angluin.Teacher with the ID
-// forms of the membership seam — single queries and query sets,
-// committed by index — whose word IDs are p.words' node IDs, and with
-// rule R1 as the learner's Deducer.
+// form of the membership seam, whose word IDs are p.words' node IDs,
+// and with rule R1 as the learner's Deducer.
 type teacherAdapter struct{ p *pLearner }
 
 func (t teacherAdapter) Member(w []string) (bool, error) {
@@ -739,9 +732,6 @@ func (t teacherAdapter) Member(w []string) (bool, error) {
 func (t teacherAdapter) MemberID(id int32) (bool, error) { return t.p.memberID(id) }
 func (t teacherAdapter) Equivalent(h *pathre.DFA) ([]string, bool, error) {
 	return t.p.Equivalent(h)
-}
-func (t teacherAdapter) MemberBatchIDs(ids []int32) ([]bool, error) {
-	return t.p.memberBatchIDs(ids)
 }
 func (t teacherAdapter) DeadStep(id, sym int32) bool { return t.p.deadStep(id, sym) }
 func (t teacherAdapter) Deduced(anchor, rest int32)  { t.p.deduced(anchor, rest) }

@@ -13,8 +13,8 @@ import (
 
 // TestR1FiltersBatched: a metadata R1 filter is stepped per trie node
 // and memoized as the learner extends live nodes, while under the
-// batched protocol the fragment mirror answers the waves and the
-// prefetch goroutines run beside the learner. With R1 backed by a DTD
+// batched protocol the fragment mirror answers the membership queries
+// and the prefetch goroutines run beside the learner. With R1 backed by a DTD
 // and by a DataGuide, the batched run must give the serial run's tree
 // and per-fragment counters, and must actually have answered from the
 // mirror. CI runs it under -race.

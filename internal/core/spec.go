@@ -255,15 +255,6 @@ type SpeculationStats struct {
 	// MirrorAnswers counts dialogue questions (membership and
 	// equivalence) answered from a local mirror instead of the wire.
 	MirrorAnswers int
-	// BatchRounds / BatchedMQ count the L* learner's query sets and the
-	// membership queries in them; the KV learner asks every probe on
-	// its own and adds nothing. Words in rule R1's
-	// dead region are filled by the learner without shipping (see
-	// angluin.Deducer), so these transport counters count only the words
-	// that reach the teacher's pipeline; the dialogue counters
-	// (FragmentStats) still charge every word.
-	BatchRounds int
-	BatchedMQ   int
 	// Kept / Discarded are always zero: the fragment mirror is the
 	// protocol's only speculation and it has nothing to reconcile. The
 	// fields stay because api.SpeculationV1 carries them on the wire.

@@ -62,8 +62,8 @@ func TestBatchedMatchesSerial(t *testing.T) {
 }
 
 // TestBatchedMatchesSerialKV runs the same property under the
-// Kearns-Vazirani learner, whose adaptive sift chain asks every probe
-// on its own instead of in L*'s multi-query waves.
+// Kearns-Vazirani learner, whose adaptive sift chain asks its probes
+// in a different order from L*'s table fills.
 func TestBatchedMatchesSerialKV(t *testing.T) {
 	for _, s := range XMPScenarios() {
 		s := s

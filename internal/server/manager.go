@@ -67,10 +67,6 @@ type session struct {
 	cancel context.CancelFunc
 	result *scenario.Result
 	err    error
-	// batched records that the last learn ran over the batched +
-	// mirrored teacher protocol (the streaming endpoint's mode), so
-	// the session snapshot can surface its transport counters.
-	batched bool
 }
 
 // learnFunc performs one learn run for a session. The production
@@ -264,7 +260,6 @@ func (m *manager) StartLearn(id string) (api.SessionV1, error) {
 	s.state = stateQueued
 	s.cancel = cancel
 	s.result, s.err = nil, nil
-	s.batched = false
 	s.lastTouch = m.now()
 	m.metrics.started()
 	m.wg.Add(1)
@@ -320,7 +315,6 @@ func (m *manager) StartLearnStream(ctx context.Context, id string) (<-chan core.
 	s.state = stateQueued
 	s.cancel = cancel
 	s.result, s.err = nil, nil
-	s.batched = true
 	s.lastTouch = m.now()
 	m.metrics.started()
 	m.wg.Add(1)
@@ -473,9 +467,6 @@ func (m *manager) snapshotLocked(s *session) api.SessionV1 {
 		v := s.result.Verified
 		out.Verified = &v
 		out.Stats = api.NewStatsV1(s.result.Stats)
-		if s.batched {
-			out.BatchedMQs = s.result.Stats.Speculation.BatchedMQ
-		}
 	}
 	return out
 }

@@ -102,8 +102,6 @@ func (m *metrics) completed(latencyMS float64, tot interactionTotals, cache xq.C
 	m.cache = m.cache.Add(cache)
 	m.spec.Prefetches += spec.Prefetches
 	m.spec.MirrorAnswers += spec.MirrorAnswers
-	m.spec.BatchRounds += spec.BatchRounds
-	m.spec.BatchedMQ += spec.BatchedMQ
 	m.spec.Kept += spec.Kept
 	m.spec.Discarded += spec.Discarded
 }
