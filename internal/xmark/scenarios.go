@@ -314,7 +314,7 @@ func q9(doc *xmldoc.Document) *scenario.Scenario {
 				}},
 			{Path: "q9/pers9/item9/iname9", Var: "in9", AnchorVar: "i9",
 				Select: func(d *xmldoc.Document) *xmldoc.Node {
-					return childNamed(byIDAttr(d, "item", "item0"), "name")
+					return childNamed(itemByID(d, "item0"), "name")
 				}},
 		},
 	}
@@ -371,7 +371,7 @@ func q10Drops(fields []struct{ box, v, path string }) []core.Drop {
 	drops := []core.Drop{
 		{Path: "q10/group10/gname10", Var: "gn10", AnchorVar: "c10",
 			Select: func(d *xmldoc.Document) *xmldoc.Node {
-				return childNamed(byIDAttr(d, "category", "category0"), "name")
+				return childNamed(categoryByID(d, "category0"), "name")
 			}},
 		{Path: "q10/group10/prec10/pname10", Var: "pn10", AnchorVar: "p10",
 			Select: func(d *xmldoc.Document) *xmldoc.Node {

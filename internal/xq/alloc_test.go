@@ -59,9 +59,10 @@ func TestExtentHotPathAllocs(t *testing.T) {
 // column, bindings and output through the reused scratch — with zero
 // heap allocations. This is the budget the ablation table's >=2x
 // allocation reduction rests on; any object born here multiplies by
-// every membership query of every dialogue. The equality-join cases
-// run on probes: their first run builds the class tables, and warm runs
-// only read them.
+// every membership query of every dialogue. The join cases run on
+// probes — equality, relay-level (with and without a first hop, which
+// is an equality or a range probe) and range — whose first run builds
+// the tables, and warm runs only read them.
 func TestCompiledExecAllocs(t *testing.T) {
 	doc, _ := allocDoc()
 	for _, c := range []struct {
@@ -72,6 +73,10 @@ func TestCompiledExecAllocs(t *testing.T) {
 		{fuzzDoc, `for $p in /r/ppl/p return <o>{for $i in /r/items/item where data($i/@key) = data($p/pid) and data($i/price) = data($p/pid) return $i}</o>`, "i"},
 		{fuzzDoc, `for $q in /r/ppl/p return <o>{for $p in /r/ppl/p where data($p/pid) = data($q/pid) * 1000 return $p}</o>`, "p"},
 		{fuzzDoc, `for $i in /r/items/item where some $w in document()/r/ppl/p satisfies (data($w/pid) = data($i/@key) and data($w/pid) != "x") return <o>$i</o>`, "i"},
+		{fuzzDoc, `for $p in /r/ppl/p return <o>{for $i in /r/items/item where data($p/pid) > data($i/price) return $i}</o>`, "i"},
+		{fuzzDoc, `for $i in /r/items/item where data($i/price) * 0.001 <= 5 return <o>$i</o>`, "i"},
+		{fuzzDoc, `for $p in /r/ppl/p return <o>{for $i in /r/items/item where some $w in document()/r/ppl/p satisfies (data($w/pid) = data($i/@key) and data($w/pid) = data($p/pid)) return $i}</o>`, "i"},
+		{fuzzDoc, `for $p in /r/ppl/p return <o>{for $i in /r/items/item where some $w in document()/r/items/item satisfies (data($w/price) < data($p/pid) and data($w/tag) = data($i/tag)) return $i}</o>`, "i"},
 	} {
 		tree := MustParseQuery(c.src)
 		n := tree.VarNode(c.v)

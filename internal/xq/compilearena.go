@@ -57,12 +57,12 @@ type compileArena struct {
 	atoms  []atomPlan
 	steps  []stepPlan
 	vals   []Value
-	// probes and relays memoize, per predicate, a probe's class table
-	// and a document-rooted relay set: a chain level recurs in the plan
-	// of every node below it, and those plans share one of each. They
-	// are fresh memory, like the plans' root candidates, and are
-	// dropped with the plans at reset.
-	probes map[probeKey]*classTable
+	// probes and relays memoize, per predicate, a probe's tables and a
+	// document-rooted relay set: a chain level recurs in the plan of
+	// every node below it, and those plans share one of each. They are
+	// fresh memory, like the plans' root candidates, and are dropped
+	// with the plans at reset.
+	probes map[probeKey]probeTable
 	relays map[*Pred][]*xmldoc.Node
 	// bytes sums the capacity, in bytes, of every chunk the arena has
 	// opened. An arena that is never reset — NewTreePlan's — keeps every

@@ -1,7 +1,9 @@
 package xq
 
 import (
+	"cmp"
 	"context"
+	"math"
 	"slices"
 
 	"repro/internal/pathre"
@@ -26,8 +28,9 @@ type execArena struct {
 	// has its own, as a level's selection must outlive the loops of the
 	// levels inside it.
 	sel [][]*xmldoc.Node
-	// pos gathers probe positions across several classes.
-	pos []int32
+	// pos gathers the positions a level's probe admits, hop those a
+	// relay probe admits in its relay set.
+	pos, hop []int32
 	// walk/front are the frontier of a multi-step path walk; ids, lhs
 	// and rhs receive operand targets (then classes); keys the probed
 	// classes; relay the relay set walked from a binding.
@@ -48,7 +51,7 @@ type execArena struct {
 // capSum totals the arena's buffer capacities; an unchanged sum across
 // a run means the run grew no buffer.
 func (a *execArena) capSum() int {
-	n := cap(a.env) + cap(a.out) + cap(a.sel) + cap(a.pos) + cap(a.walk) + cap(a.front) +
+	n := cap(a.env) + cap(a.out) + cap(a.sel) + cap(a.pos) + cap(a.hop) + cap(a.walk) + cap(a.front) +
 		cap(a.ids) + cap(a.lhs) + cap(a.rhs) + cap(a.keys) + cap(a.relay) +
 		cap(a.hits) + cap(a.mask) + cap(a.masks)
 	for _, s := range a.sel {
@@ -168,8 +171,8 @@ func (e *Evaluator) resetEnv(p *nodePlan) {
 
 // levelCands returns level i's candidate bindings under the current
 // slot environment: the compile-time root candidates (only those its
-// probe admits, when it has one), or the level's path from the binding
-// it starts at.
+// probe admits, in candidate order, when it has one), or the level's
+// path from the binding it starts at.
 func (e *Evaluator) levelCands(lv *levelPlan, i int) []*xmldoc.Node {
 	if lv.fromSlot >= 0 {
 		return e.planPathNodes(e.exe.env[lv.fromSlot], lv)
@@ -177,48 +180,160 @@ func (e *Evaluator) levelCands(lv *levelPlan, i int) []*xmldoc.Node {
 	if lv.probe == nil {
 		return lv.rooted
 	}
-	pr := lv.probe
-	tab := e.probeTable(pr)
-	keys := e.probeKeys(pr)
+	pos, ordered := e.probePos(e.exe.pos[:0], lv.probe)
+	if !ordered {
+		slices.Sort(pos)
+		pos = slices.Compact(pos)
+	}
+	e.exe.pos = pos
 	for len(e.exe.sel) <= i {
 		e.exe.sel = append(e.exe.sel, nil)
 	}
 	sel := e.exe.sel[i][:0]
-	if len(keys) == 1 {
-		for _, k := range tab.group(keys[0]) {
-			sel = append(sel, tab.cands[k])
-		}
-	} else {
-		// Several classes: merge their groups back into candidate order,
-		// each candidate once.
-		pos := e.exe.pos[:0]
-		for _, cl := range keys {
-			pos = append(pos, tab.group(cl)...)
-		}
-		slices.Sort(pos)
-		pos = slices.Compact(pos)
-		e.exe.pos = pos
-		for _, k := range pos {
-			sel = append(sel, tab.cands[k])
-		}
+	for _, k := range pos {
+		sel = append(sel, lv.rooted[k])
 	}
 	e.exe.sel[i] = sel
 	return sel
 }
 
-// probeTable returns pr's class table, building it on first use.
-func (e *Evaluator) probeTable(pr *probePlan) *classTable {
-	pr.tab.once.Do(func() { e.buildProbe(pr) })
+// probePos appends the positions, in the candidate list pr's table was
+// built over, of the candidates pr admits under the current
+// environment: a superset of those that can pass what pr was compiled
+// from. ordered reports that the positions
+// appended ascend without repeats; a caller that needs candidate order
+// otherwise sorts and compacts them.
+func (e *Evaluator) probePos(dst []int32, pr *probePlan) (pos []int32, ordered bool) {
+	switch pr.kind() {
+	case probeRange:
+		return e.rangePos(dst, pr)
+	case probeRelay:
+		return e.relayPos(dst, pr)
+	}
+	tab := e.builtClasses(pr)
+	keys := e.probeKeys(pr)
+	for _, cl := range keys {
+		dst = append(dst, tab.group(cl)...)
+	}
+	return dst, len(keys) <= 1
+}
+
+// rangePos admits the candidates of a range probe whose numbers pass
+// its operator against the fixed side's bound — below its greatest number for
+// < and <=, above its least for > and >= — and the loose ones. A fixed
+// side holding text admits every candidate.
+func (e *Evaluator) rangePos(dst []int32, pr *probePlan) ([]int32, bool) {
+	t := e.builtRange(pr)
+	b := t.fix
+	if !pr.other.isConst {
+		e.rbuf = e.planOperandValues(e.rbuf[:0], &pr.other)
+		b = boundOf(e.rbuf)
+	}
+	if b.text {
+		for k := range t.cands {
+			dst = append(dst, int32(k))
+		}
+		return dst, true
+	}
+	dst = append(dst, t.loose...)
+	if b.n == 0 {
+		return dst, true
+	}
+	lo, hi := 0, len(t.num)
+	switch t.op {
+	case OpLt:
+		hi, _ = slices.BinarySearch(t.num, b.hi)
+	case OpLe:
+		hi = upperBound(t.num, b.hi)
+	case OpGt:
+		lo = upperBound(t.num, b.lo)
+	case OpGe:
+		lo, _ = slices.BinarySearch(t.num, b.lo)
+	}
+	if lo >= hi {
+		return dst, true
+	}
+	return append(dst, t.at[lo:hi]...), false
+}
+
+// upperBound returns the index of the first value of the ascending s
+// above f.
+func upperBound(s []float64, f float64) int {
+	lo, hi := 0, len(s)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s[m] <= f {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// boundOf summarizes the values of a range probe's fixed side.
+func boundOf(vals []Value) rangeBound {
+	var b rangeBound
+	for _, v := range vals {
+		switch {
+		case !v.IsNum:
+			b.text = true
+		case math.IsNaN(v.Num):
+		case b.n == 0:
+			b.lo, b.hi, b.n = v.Num, v.Num, 1
+		default:
+			b.lo, b.hi, b.n = min(b.lo, v.Num), max(b.hi, v.Num), b.n+1
+		}
+	}
+	return b
+}
+
+// relayPos admits the level candidates a relay-level probe's relay
+// nodes link to: the nodes its first hop admits, or, without one, the
+// selection every run shares.
+func (e *Evaluator) relayPos(dst []int32, pr *probePlan) ([]int32, bool) {
+	if pr.hop == nil {
+		return append(dst, e.builtSel(pr).pos...), true
+	}
+	tab := e.builtClasses(pr)
+	ws, _ := e.probePos(e.exe.hop[:0], pr.hop)
+	e.exe.hop = ws
+	relay := pr.hop.cands()
+	for _, w := range ws {
+		e.exe.keys = e.nodeClasses(e.exe.keys[:0], int32(relay[w].ID), &pr.other)
+		for _, cl := range e.exe.keys {
+			dst = append(dst, tab.group(cl)...)
+		}
+	}
+	return dst, false
+}
+
+// builtClasses returns pr's class table, building it on first use.
+func (e *Evaluator) builtClasses(pr *probePlan) *classTable {
+	pr.tab.once.Do(func() { e.buildClasses(pr) })
 	return pr.tab
 }
 
-// probeBuilt, when set (by tests), observes every class table build.
-var probeBuilt func(*classTable)
+// builtRange returns pr's range table, building it on first use.
+func (e *Evaluator) builtRange(pr *probePlan) *rangeTable {
+	pr.rng.once.Do(func() { e.buildRange(pr) })
+	return pr.rng
+}
 
-// buildProbe files every candidate of pr's table under the classes of
-// its enum values. The table is fresh memory: it outlives this
-// evaluator when the plan is shared.
-func (e *Evaluator) buildProbe(pr *probePlan) {
+// builtSel returns the shared selection of a relay-level probe without
+// a first hop, computing it on first use.
+func (e *Evaluator) builtSel(pr *probePlan) *relaySel {
+	pr.sel.once.Do(func() { e.buildSel(pr) })
+	return pr.sel
+}
+
+// probeBuilt, when set (by tests), observes every probe table build.
+var probeBuilt func(probeTable)
+
+// buildClasses files every candidate of pr's class table under the
+// classes of its enum values. The table is fresh memory: it outlives
+// this evaluator when the plan is shared.
+func (e *Evaluator) buildClasses(pr *probePlan) {
 	t := pr.tab
 	if probeBuilt != nil {
 		probeBuilt(t)
@@ -250,8 +365,64 @@ func (e *Evaluator) buildProbe(pr *probePlan) {
 	}
 }
 
-// probeKeys returns the classes of pr's other side under the current
-// environment. The table must have been built.
+// buildRange sorts the candidates of pr's range table by the numbers
+// of their enum values, multiplier applied, and sets the loose ones
+// aside. The table is fresh memory, like a class table.
+func (e *Evaluator) buildRange(pr *probePlan) {
+	t := pr.rng
+	if probeBuilt != nil {
+		probeBuilt(t)
+	}
+	type entry struct {
+		num float64
+		at  int32
+	}
+	var ents []entry
+	for k, c := range t.cands {
+		e.lbuf = e.nodeValues(e.lbuf[:0], int32(c.ID), &pr.enum)
+		loose := false
+		for _, v := range e.lbuf {
+			switch {
+			case !v.IsNum:
+				loose = true
+			case !math.IsNaN(v.Num):
+				ents = append(ents, entry{v.Num, int32(k)})
+			}
+		}
+		if loose {
+			t.loose = append(t.loose, int32(k))
+		}
+	}
+	slices.SortFunc(ents, func(a, b entry) int { return cmp.Compare(a.num, b.num) })
+	t.num = make([]float64, len(ents))
+	t.at = make([]int32, len(ents))
+	for i, en := range ents {
+		t.num[i], t.at[i] = en.num, en.at
+	}
+	t.fix = boundOf(pr.other.constVals)
+}
+
+// buildSel computes the selection of a relay-level probe without a
+// first hop: the candidates the link values of every relay node name.
+func (e *Evaluator) buildSel(pr *probePlan) {
+	s := pr.sel
+	if probeBuilt != nil {
+		probeBuilt(s)
+	}
+	tab := e.builtClasses(pr)
+	var pos []int32
+	for _, w := range s.relay {
+		e.exe.keys = e.nodeClasses(e.exe.keys[:0], int32(w.ID), &pr.other)
+		for _, cl := range e.exe.keys {
+			pos = append(pos, tab.group(cl)...)
+		}
+	}
+	slices.Sort(pos)
+	s.pos = slices.Compact(pos)
+}
+
+// probeKeys returns the classes of an equality probe's other side
+// under the current environment. The table must have been built.
 func (e *Evaluator) probeKeys(pr *probePlan) []int32 {
 	if pr.other.isConst {
 		return pr.tab.constCls
@@ -260,9 +431,16 @@ func (e *Evaluator) probeKeys(pr *probePlan) []int32 {
 	return e.exe.keys
 }
 
+// conjRun, when set (by tests), counts the conjunction checks of
+// levels with predicates: one per candidate a level tests.
+var conjRun func()
+
 // levelPredsHold reports whether the candidate in the level's slot
 // passes every predicate of the level.
 func (e *Evaluator) levelPredsHold(lv *levelPlan) bool {
+	if conjRun != nil && len(lv.preds) > 0 {
+		conjRun()
+	}
 	for k := range lv.preds {
 		if !e.planPredHolds(&lv.preds[k]) {
 			return false
@@ -371,16 +549,14 @@ func (e *Evaluator) planPredBody(pp *predPlan) bool {
 	case pp.relaySlot < 0:
 		return e.planAtomsHold(pp)
 	case pp.probe != nil:
-		// The relay is existential: the first candidate the table admits
+		// The relay is existential: the first candidate the probe admits
 		// that passes the whole conjunction decides, in any order.
-		pr := pp.probe
-		tab := e.probeTable(pr)
-		for _, cl := range e.probeKeys(pr) {
-			for _, k := range tab.group(cl) {
-				e.exe.env[pp.relaySlot] = tab.cands[k]
-				if e.planAtomsHold(pp) {
-					return true
-				}
+		ws, _ := e.probePos(e.exe.hop[:0], pp.probe)
+		e.exe.hop = ws
+		for _, k := range ws {
+			e.exe.env[pp.relaySlot] = pp.relayCands[k]
+			if e.planAtomsHold(pp) {
+				return true
 			}
 		}
 	case pp.relayFromSlot == -1:
@@ -496,7 +672,19 @@ func (e *Evaluator) operandTargets(dst []int32, o *operandPlan) []int32 {
 // interpreter).
 func (e *Evaluator) operandClasses(dst []int32, o *operandPlan) []int32 {
 	base := len(dst)
-	dst = e.operandTargets(dst, o)
+	return e.targetClasses(e.operandTargets(dst, o), base, o)
+}
+
+// nodeClasses is operandClasses with o's path walked from node start
+// instead of from the binding in o's slot.
+func (e *Evaluator) nodeClasses(dst []int32, start int32, o *operandPlan) []int32 {
+	base := len(dst)
+	return e.targetClasses(e.walkSteps(dst, start, o.steps), base, o)
+}
+
+// targetClasses turns the target IDs dst[base:] of operand o into the
+// classes of its values.
+func (e *Evaluator) targetClasses(dst []int32, base int, o *operandPlan) []int32 {
 	ix := e.idx
 	class := ix.valueClasses().class
 	if !o.scaled() {
@@ -523,6 +711,19 @@ func (e *Evaluator) planOperandValues(dst []Value, o *operandPlan) []Value {
 		return append(dst, o.constVals...)
 	}
 	e.exe.ids = e.operandTargets(e.exe.ids[:0], o)
+	return e.targetValues(dst, o)
+}
+
+// nodeValues is planOperandValues for a variable operand with o's path
+// walked from node start.
+func (e *Evaluator) nodeValues(dst []Value, start int32, o *operandPlan) []Value {
+	e.exe.ids = e.walkSteps(e.exe.ids[:0], start, o.steps)
+	return e.targetValues(dst, o)
+}
+
+// targetValues appends the values of operand o's targets, held in
+// e.exe.ids.
+func (e *Evaluator) targetValues(dst []Value, o *operandPlan) []Value {
 	ix := e.idx
 	for _, id := range e.exe.ids {
 		switch {

@@ -73,6 +73,26 @@ func FuzzCompiledExtent(f *testing.F) {
 		`for $i in /r/items/item where not(data($i/price) = " 7 ") and data($i/@key) != "nan" return <o>$i</o>`,
 		`for $p in /r/ppl/p return <o>{for $i in /r/items/item where not(some $w in $p/pid satisfies (data($w) = data($i/price))) and data($i/tag) = "1e3" return $i}</o>`,
 		`for $i in /r/items/item where some $w in document()/r/items/item satisfies (data($w/price) = "-0" and data($w/@key) = data($i/@key)) return <o>$i</o>`,
+		// Ordering joins, answered by range probes: every operator,
+		// against constants (numbers, " 7 ", "1e3", "nan", "-0", the
+		// date) and outer bindings, under positive, negative and zero
+		// multipliers on either side.
+		`for $i in /r/items/item where data($i/price) < 25 return <o>$i</o>`,
+		`for $i in /r/items/item where data($i/price) <= " 7 " and data($i/tag) > "07/05/2000" return <o>$i</o>`,
+		`for $i in /r/items/item where data($i/price) >= "1e3" return <o>$i</o>`,
+		`for $p in /r/ppl/p return <o>{for $i in /r/items/item where data($i/price) > "nan" and data($i/@key) < data($p/pid) return $i}</o>`,
+		`for $i in /r/items/item where data($i/@key) >= "-0" and data($i/price) * -2 < -30 return <o>$i</o>`,
+		`for $p in /r/ppl/p return <o>{for $i in /r/items/item where data($p/pid) > data($i/price) * 0.01 return $i}</o>`,
+		`for $p in /r/ppl/p return <o>{for $i in /r/items/item where data($i/price) * -2 >= data($p/pid) return $i}</o>`,
+		`for $p in /r/ppl/p return <o>{for $i in /r/items/item where data($i/tag) * 0 < data($p/pid) and data($i/price) <= data($p/pid) * 1000 return $i}</o>`,
+		`for $p in /r/ppl/p where data($p/pid) > 0 return <o>{for $i in /r/items/item where data($p/pid) >= data($i/price) * 0.5 return $i}</o>`,
+		// Relay joins, answered by relay-level probes: Q9's two hops
+		// (the relay by the outer binding, then the level by the relay's
+		// link values), a first hop by a range, and a relay that links
+		// only to the level.
+		`for $p in /r/ppl/p return <o>{for $i in /r/items/item where some $w in document()/r/ppl/p satisfies (data($w/pid) = data($i/@key) and data($w/pid) = data($p/pid)) return $i}</o>`,
+		`for $p in /r/ppl/p return <o>{for $i in /r/items/item where some $w in document()/r/items/item satisfies (data($w/price) > data($p/pid) and data($w/@key) = data($i/@key)) return $i}</o>`,
+		`for $i in /r/items/item where some $w in document()/r/items/item satisfies (data($w/tag) = data($i/price)) return <o>$i</o>`,
 	} {
 		f.Add(seed)
 	}
@@ -144,6 +164,16 @@ func FuzzCompiledResult(f *testing.F) {
 		`for $i in /r/items return <o>{for $j in $i/item where some $w in $i/item satisfies (data($w/price) * 2 = data($j/price) * 2) return $j/@key}</o>`,
 		`for $q in /r/ppl/p return <o>{for $p in /r/ppl/p where data($p/pid) = data($q/pid) return $p}</o>`,
 		`for $p in /r/ppl/p return <o>{for $i in /r/items/item where data($i/tag) < data($p/pid) * 2 return $i/tag}</o>`,
+		// Ordering joins (range probes) and relay joins (relay-level
+		// probes), as in FuzzCompiledExtent.
+		`for $p in /r/ppl/p return <o>{for $i in /r/items/item where data($p/pid) > data($i/price) * 0.001 return $i/price}</o>`,
+		`for $p in /r/ppl/p return <o>{for $i in /r/items/item where data($i/price) * -1 <= data($p/pid) return $i/@key}</o>`,
+		`for $p in /r/ppl/p return <o>{for $i in /r/items/item where data($i/price) * 0 >= data($p/pid) return $i/price}</o>`,
+		`for $i in /r/items/item where data($i/price) < "1e3" and data($i/tag) >= "07/05/2000" return <o>$i/tag</o>`,
+		`<n>count({for $i in /r/items/item where data($i/price) > "-0" return $i})</n>`,
+		`for $p in /r/ppl/p where data($p/pid) < 5 return <o>{for $i in /r/items/item where data($p/pid) * 5000 > data($i/price) return $i/price}</o>`,
+		`for $p in /r/ppl/p return <o>{for $i in /r/items/item where some $w in document()/r/ppl/p satisfies (data($w/pid) = data($i/@key) and data($w/pid) = data($p/pid)) return <n>$i/price</n>}</o>`,
+		`for $i in /r/items/item where some $w in document()/r/ppl/p satisfies (data($w/pid) = data($i/price)) return <o>$i/@key</o>`,
 	} {
 		f.Add(seed)
 	}

@@ -26,9 +26,10 @@ import (
 //     multiplier) into ready Value slices;
 //   - operand and relay paths become label-symbol steps the executor
 //     walks over the index columns, with no per-evaluator memo;
-//   - equality joins become probes (probePlan): an OpEq atom between
-//     the candidate a loop enumerates and a value fixed while it runs
-//     turns the loop into a lookup in a class→candidates table.
+//   - joins become probes (probePlan): an equality, relay or ordering
+//     join between the candidates a loop enumerates and a value fixed
+//     while it runs turns the loop into a lookup in a table over those
+//     candidates (a class table, a relay semijoin, a sorted range).
 //
 // Plans read only immutable inputs afterwards, so a compiled TreePlan
 // is shareable across evaluators and goroutines, and the artifact
@@ -143,30 +144,90 @@ type stepPlan struct {
 	attr bool
 }
 
-// probePlan is an equality join compiled into a class lookup. Its atom
-// compares enum, an unscaled operand on the candidate a loop
-// enumerates, with other, a value fixed while the loop runs: a
-// constant, or a binding in an earlier slot (see probeFor). The
-// loop's candidates are fixed per plan, so the first run builds a
-// class→candidates table over them once (tab), and every run after
-// enumerates only the candidates whose enum values share a class with
-// other's — the atom's "some pair is equal" semantics as an
-// intersection of class sets. The full conjunction still runs on every
-// candidate the table admits.
+// probeKind names how a probe selects candidates. Every kind admits a
+// superset of the candidates that can pass what it was compiled from,
+// in candidate order, and the full conjunction still runs on each
+// candidate it admits, so a loose probe (NaN, values that compare as
+// text) costs work but never changes a result. levelProbe fixes the
+// precedence among kinds.
+type probeKind uint8
+
+const (
+	// probeEq looks the fixed side's value classes up in a
+	// class→candidates table (classTable).
+	probeEq probeKind = iota
+	// probeRange binary-searches the fixed side's bound in the
+	// candidates sorted by numeric value (rangeTable).
+	probeRange
+	// probeRelay is a semijoin through a document-rooted relay: the
+	// relay nodes that can pass the relay's fixed atom (hop), then the
+	// level candidates their link values name (tab).
+	probeRelay
+)
+
+// probePlan is a join compiled into a lookup. Its atom compares enum,
+// an operand on the candidate a loop enumerates, with other, a value
+// fixed while the loop runs: a constant, or a binding in an earlier
+// slot (see probeFor). The loop's candidates are fixed per plan, so
+// the first run builds a table over them once, and every run after
+// admits only the candidates the table selects for other's values.
+// Exactly one of tab and rng is set; a relay-level probe also sets hop
+// or sel (see kind).
+//
+// A relay-level probe reads its atoms differently: enum is the level's
+// side of the relay's link atom and other the relay's side, evaluated
+// on each relay node hop admits (every node of the relay set when hop
+// is nil).
 type probePlan struct {
 	enum, other operandPlan
-	tab         *classTable
+	// tab serves equality probes and a relay-level probe's second hop,
+	// rng range probes.
+	tab *classTable
+	rng *rangeTable
+	// hop is a relay-level probe's probe over the relay set by its
+	// fixed atom; without one, sel is its selection, the same on every
+	// run.
+	hop *probePlan
+	sel *relaySel
+}
+
+// kind reports which of the three kinds pr is.
+func (pr *probePlan) kind() probeKind {
+	switch {
+	case pr.rng != nil:
+		return probeRange
+	case pr.hop != nil || pr.sel != nil:
+		return probeRelay
+	}
+	return probeEq
+}
+
+// cands returns the candidates pr's positions index: the level's or
+// relay set's, which its table was built over.
+func (pr *probePlan) cands() []*xmldoc.Node {
+	if pr.rng != nil {
+		return pr.rng.cands
+	}
+	return pr.tab.cands
+}
+
+// probeTable is a table a probe reads: built on the probe's first run,
+// under its own once, and read-only afterwards.
+//
+// A table depends only on its atom, its candidates and the document,
+// so every plan compiled from one predicate shares one
+// (compileArena.probes, keyed by probeKey), and plans are shared
+// through TreePlan, which charges each table once (bytes).
+type probeTable interface {
+	// bytes is what the built table keeps alive, estimated before the
+	// build from the candidate count (one value per candidate).
+	bytes() int
 }
 
 // classTable groups a probe's candidates by the value classes of its
 // enum operand: the group of class keys[k] is pos[off[k]:off[k+1]],
 // ascending positions in cands, each candidate once. constCls holds the
 // classes of a constant other operand.
-//
-// A table depends only on its atom and the document, so every plan
-// compiled from one predicate shares one (compileArena.probes), and
-// plans are shared through TreePlan: it is built under once, and is
-// read-only afterwards.
 type classTable struct {
 	cands          []*xmldoc.Node
 	once           sync.Once
@@ -183,11 +244,51 @@ func (t *classTable) group(cl int32) []int32 {
 	return t.pos[t.off[k]:t.off[k+1]]
 }
 
-// bytes is what a built table keeps alive, estimated before the build
-// from the candidate count (one class per candidate).
 func (t *classTable) bytes() int {
 	return int(unsafe.Sizeof(classTable{})) + 3*4*len(t.cands)
 }
+
+// rangeTable orders a range probe's candidates by the numeric values
+// of its enum operand, multiplier applied: candidate at[k] holds value
+// num[k], num ascending, NaN left out (it passes no numeric
+// comparison). loose lists, ascending, the candidates holding an
+// unscaled non-numeric value: compareValues compares those as text,
+// so they pass or fail whatever the bound, and every run admits them.
+// op is the atom's operator, turned so that enum is on its left, and
+// fix summarizes a constant other operand.
+type rangeTable struct {
+	cands     []*xmldoc.Node
+	op        CmpOp
+	once      sync.Once
+	num       []float64
+	at, loose []int32
+	fix       rangeBound
+}
+
+func (t *rangeTable) bytes() int {
+	return int(unsafe.Sizeof(rangeTable{})) + (8+4)*len(t.cands)
+}
+
+// rangeBound summarizes a range probe's fixed side: the least and
+// greatest of its n non-NaN numbers, and whether it holds a value that
+// is not a number (against which every candidate compares as text).
+type rangeBound struct {
+	lo, hi float64
+	n      int
+	text   bool
+}
+
+// relaySel is a relay-level probe's selection when its relay has no
+// fixed atom: the ascending positions of the n level candidates that
+// some node of the relay set links to.
+type relaySel struct {
+	relay []*xmldoc.Node
+	n     int
+	once  sync.Once
+	pos   []int32
+}
+
+func (s *relaySel) bytes() int { return int(unsafe.Sizeof(relaySel{})) + 4*s.n }
 
 // compileExtent lowers n's extent computation into a nodePlan, or nil
 // when the node cannot be compiled (a chain node without a binding
@@ -250,70 +351,202 @@ func chainSlot(chain []*Node, name string, upto int) int {
 	return slotUnresolved
 }
 
-// levelProbe picks the first OpEq atom of a plain, unnegated predicate
-// of level i (compiled from preds) that can probe the level's root
-// candidates, which run once per binding of the levels above it.
+// levelProbe picks the probe of level i (compiled from preds), whose
+// root candidates run once per binding of the levels above it. The
+// precedence is fixed, and within each kind predicates and atoms go in
+// order:
+//  1. an equality atom of a plain, unnegated predicate (probeEq): a
+//     class lookup admits only candidates with an equal value;
+//  2. an unnegated relay over a document-rooted set that links to the
+//     level (relayProbe): at most the candidates the relay nodes
+//     passing its fixed atom name;
+//  3. an ordering atom of a plain, unnegated predicate (probeRange): a
+//     range admits every candidate on one side of the bound.
 func (e *Evaluator) levelProbe(lv *levelPlan, preds []*Pred, i int) *probePlan {
+	plain := func(ordering bool) *probePlan {
+		for k := range lv.preds {
+			if pp := &lv.preds[k]; !pp.negated && pp.relaySlot < 0 {
+				if pr := e.atomProbe(pp, preds[k], ordering, -1, i, i, lv.rooted); pr != nil {
+					return pr
+				}
+			}
+		}
+		return nil
+	}
+	if pr := plain(false); pr != nil {
+		return pr
+	}
 	for k := range lv.preds {
-		pp := &lv.preds[k]
-		if pp.negated || pp.relaySlot >= 0 {
+		if pr := e.relayProbe(&lv.preds[k], preds[k], i, lv.rooted); pr != nil {
+			return pr
+		}
+	}
+	return plain(true)
+}
+
+// atomProbe returns a probe over cands, the candidates of slot enum,
+// for the first atom of pp other than atom skip that probeFor accepts
+// with bound fixed, among its ordering atoms when ordering is set and
+// its equality atoms otherwise.
+func (e *Evaluator) atomProbe(pp *predPlan, pred *Pred, ordering bool, skip, enum, fixed int, cands []*xmldoc.Node) *probePlan {
+	for j := range pp.atoms {
+		if j == skip || (pp.atoms[j].op == OpEq) == ordering {
 			continue
 		}
-		for j := range pp.atoms {
-			if pr := e.probeFor(&pp.atoms[j], i, probeKey{pred: preds[k], atom: j}, lv.rooted); pr != nil {
-				return pr
-			}
+		if pr := e.probeFor(&pp.atoms[j], enum, fixed, probeKey{pred: pred, atom: j}, cands); pr != nil {
+			return pr
 		}
 	}
 	return nil
 }
 
-// probeKey names what a class table depends on: atom j of pred, the
-// side of it the loop enumerates, and that loop's candidates. Two
-// trees may hold one *Pred under levels with different candidates.
+// atomsProbe is atomProbe over pp's equality atoms, then over its
+// ordering atoms.
+func (e *Evaluator) atomsProbe(pp *predPlan, pred *Pred, skip, enum, fixed int, cands []*xmldoc.Node) *probePlan {
+	if pr := e.atomProbe(pp, pred, false, skip, enum, fixed, cands); pr != nil {
+		return pr
+	}
+	return e.atomProbe(pp, pred, true, skip, enum, fixed, cands)
+}
+
+// probeKey names what a probe table depends on: atom j of pred, the
+// side of it the loop enumerates, the table's kind, and that loop's
+// candidates. Two trees may hold one *Pred under levels with different
+// candidates.
 type probeKey struct {
 	pred  *Pred
 	atom  int
 	right bool
+	kind  probeKind
 	cands *xmldoc.Node
 	n     int
 }
 
-// probeFor compiles atom a into a probe over cands, the candidates of
-// slot enum, when a is an OpEq between an unscaled operand on slot enum
-// and a value fixed while that slot's loop runs: a constant, or a
-// binding in an earlier slot. Both probe kinds follow this one rule; a
-// relay's slot comes after every chain slot. The table comes from the
-// compile arena's memo, so the plans of every node below the atom's
-// level share one.
-func (e *Evaluator) probeFor(a *atomPlan, enum int, key probeKey, cands []*xmldoc.Node) *probePlan {
-	if a.op != OpEq {
-		return nil
+// withCands completes k with the candidate list a table is built over.
+func (k probeKey) withCands(cands []*xmldoc.Node) probeKey {
+	if len(cands) > 0 {
+		k.cands, k.n = cands[0], len(cands)
 	}
-	onEnum := func(o *operandPlan) bool { return !o.isConst && o.slot == enum && !o.scaled() }
-	fixed := func(o *operandPlan) bool { return o.isConst || (o.slot >= 0 && o.slot < enum) }
-	var on, other *operandPlan
-	switch {
-	case onEnum(&a.l) && fixed(&a.r):
-		on, other = &a.l, &a.r
-	case onEnum(&a.r) && fixed(&a.l):
-		on, other = &a.r, &a.l
+	return k
+}
+
+// memoTable returns the compile memo's table under key, made by mk on
+// a miss, so the plans of every node below the atom's level share one.
+func memoTable[T probeTable](e *Evaluator, key probeKey, mk func() T) T {
+	if t, ok := e.comp.probes[key].(T); ok {
+		return t
+	}
+	t := mk()
+	if e.comp.probes == nil {
+		e.comp.probes = map[probeKey]probeTable{}
+	}
+	e.comp.probes[key] = t
+	return t
+}
+
+// probeFor compiles atom a into a probe over cands, the candidates of
+// slot enum, when a compares an operand on slot enum with a value
+// fixed before the loop runs: a constant, or a binding in a slot below
+// fixed (enum itself, except for a relay-level probe's first hop). An
+// OpEq atom whose enum side is unscaled becomes a class probe, an
+// ordering atom a range probe, whatever its multipliers. Level and
+// relay probes follow this one rule; a relay's slot comes after every
+// chain slot.
+func (e *Evaluator) probeFor(a *atomPlan, enum, fixed int, key probeKey, cands []*xmldoc.Node) *probePlan {
+	kind := probeEq
+	switch a.op {
+	case OpEq:
+	case OpLt, OpLe, OpGt, OpGe:
+		kind = probeRange
 	default:
 		return nil
 	}
-	key.right = on == &a.r
-	if len(cands) > 0 {
-		key.cands, key.n = cands[0], len(cands)
+	onEnum := func(o *operandPlan) bool { return onSlot(o, enum, kind == probeRange) }
+	isFixed := func(o *operandPlan) bool { return o.isConst || (o.slot >= 0 && o.slot < fixed) }
+	var pr *probePlan
+	op := a.op
+	switch {
+	case onEnum(&a.l) && isFixed(&a.r):
+		pr = &probePlan{enum: a.l, other: a.r}
+	case onEnum(&a.r) && isFixed(&a.l):
+		pr = &probePlan{enum: a.r, other: a.l}
+		op, key.right = flipOp(op), true
+	default:
+		return nil
 	}
-	tab := e.comp.probes[key]
-	if tab == nil {
-		tab = &classTable{cands: cands}
-		if e.comp.probes == nil {
-			e.comp.probes = map[probeKey]*classTable{}
+	key.kind = kind
+	key = key.withCands(cands)
+	if kind == probeEq {
+		pr.tab = memoTable(e, key, func() *classTable { return &classTable{cands: cands} })
+	} else {
+		pr.rng = memoTable(e, key, func() *rangeTable { return &rangeTable{cands: cands, op: op} })
+	}
+	return pr
+}
+
+// onSlot reports whether o is a variable operand on slot, and unscaled
+// unless scaledOK.
+func onSlot(o *operandPlan, slot int, scaledOK bool) bool {
+	return !o.isConst && o.slot == slot && (scaledOK || !o.scaled())
+}
+
+// flipOp returns the operator that holds for (r, l) iff op holds for
+// (l, r).
+func flipOp(op CmpOp) CmpOp {
+	switch op {
+	case OpLt:
+		return OpGt
+	case OpLe:
+		return OpGe
+	case OpGt:
+		return OpLt
+	case OpGe:
+		return OpLe
+	}
+	return op
+}
+
+// relayProbe compiles pp, a predicate of level i over cands, into a
+// relay-level probe (a semijoin) when it is an unnegated relay over a
+// document-rooted set with an OpEq atom, the link, between an operand
+// on the relay variable and an unscaled one on level i. Its first hop
+// probes the relay set by another of the relay's atoms that joins it
+// to a value fixed before level i (probeFor with the level as bound,
+// equality atoms first); the second looks the link values of the relay
+// nodes the first admits up in a class table over the level's
+// candidates. Any candidate the relay holds for is linked to a relay
+// node that passes every atom, the first hop's included, so it is
+// admitted.
+func (e *Evaluator) relayProbe(pp *predPlan, pred *Pred, i int, cands []*xmldoc.Node) *probePlan {
+	if pp.negated || pp.relaySlot < 0 || pp.relayFromSlot != -1 {
+		return nil
+	}
+	for j := range pp.atoms {
+		a := &pp.atoms[j]
+		if a.op != OpEq {
+			continue
 		}
-		e.comp.probes[key] = tab
+		var pr *probePlan
+		key := probeKey{pred: pred, atom: j}
+		switch {
+		case onSlot(&a.l, i, false) && onSlot(&a.r, pp.relaySlot, true):
+			pr = &probePlan{enum: a.l, other: a.r}
+		case onSlot(&a.r, i, false) && onSlot(&a.l, pp.relaySlot, true):
+			pr = &probePlan{enum: a.r, other: a.l}
+			key.right = true
+		default:
+			continue
+		}
+		key = key.withCands(cands)
+		pr.tab = memoTable(e, key, func() *classTable { return &classTable{cands: cands} })
+		if pr.hop = e.atomsProbe(pp, pred, j, pp.relaySlot, i, pp.relayCands); pr.hop == nil {
+			key.kind = probeRelay
+			relay := pp.relayCands
+			pr.sel = memoTable(e, key, func() *relaySel { return &relaySel{relay: relay, n: len(cands)} })
+		}
+		return pr
 	}
-	return &probePlan{enum: *on, other: *other, tab: tab}
+	return nil
 }
 
 // compilePred lowers one predicate evaluated at chain level `level`.
@@ -349,11 +582,7 @@ func (e *Evaluator) compilePred(pr *Pred, level, relaySlot int, slotOf func(stri
 		// A document-rooted relay set is the same on every run: resolve it
 		// now, and index it when an atom joins it to a fixed value.
 		pp.relayCands = e.rootedRelay(pr, pp.relaySteps)
-		for j := range pp.atoms {
-			if pp.probe = e.probeFor(&pp.atoms[j], relaySlot, probeKey{pred: pr, atom: j}, pp.relayCands); pp.probe != nil {
-				break
-			}
-		}
+		pp.probe = e.atomsProbe(&pp, pr, -1, relaySlot, relaySlot, pp.relayCands)
 	}
 	return pp
 }
@@ -491,7 +720,7 @@ func (tp *TreePlan) ApproxBytes() int { return 256 + tp.bytes }
 // binding expression; and, counted once however many plans share
 // them, the resolved root and relay candidates (shared through the
 // compiling evaluator's path cache and compile memo) and each probe's
-// class table, charged up front although its first run builds it.
+// tables, charged up front although its first run builds them.
 func planSetBytes(plans map[*Node]*nodePlan, arenaBytes int) int {
 	b := arenaBytes
 	nodes := map[**xmldoc.Node]bool{}
@@ -501,16 +730,29 @@ func planSetBytes(plans map[*Node]*nodePlan, arenaBytes int) int {
 			b += cap(s) * int(unsafe.Sizeof(s[0]))
 		}
 	}
-	tables := map[*classTable]bool{}
-	addProbe := func(pr *probePlan) {
+	tables := map[probeTable]bool{}
+	addTable := func(t probeTable) {
+		if !tables[t] {
+			tables[t] = true
+			b += t.bytes()
+		}
+	}
+	var addProbe func(pr *probePlan)
+	addProbe = func(pr *probePlan) {
 		if pr == nil {
 			return
 		}
 		b += int(unsafe.Sizeof(*pr))
-		if !tables[pr.tab] {
-			tables[pr.tab] = true
-			b += pr.tab.bytes()
+		if pr.tab != nil {
+			addTable(pr.tab)
 		}
+		if pr.rng != nil {
+			addTable(pr.rng)
+		}
+		if pr.sel != nil {
+			addTable(pr.sel)
+		}
+		addProbe(pr.hop)
 	}
 	for _, p := range plans {
 		b += int(unsafe.Sizeof(nodePlan{})) + 32

@@ -208,15 +208,26 @@ func TestValueClassLookups(t *testing.T) {
 	}
 }
 
-// probeTables lists the distinct class tables of tp's probes, and how
-// many probes use them.
-func probeTables(tp *TreePlan) (tables map[*classTable]bool, probes int) {
-	tables = map[*classTable]bool{}
-	add := func(pr *probePlan) {
-		if pr != nil {
-			tables[pr.tab] = true
-			probes++
+// probeTables lists the distinct tables of tp's probes, and how many
+// probes use them; a relay-level probe's first hop counts as a probe.
+func probeTables(tp *TreePlan) (tables map[probeTable]bool, probes int) {
+	tables = map[probeTable]bool{}
+	var add func(pr *probePlan)
+	add = func(pr *probePlan) {
+		if pr == nil {
+			return
 		}
+		probes++
+		if pr.tab != nil {
+			tables[pr.tab] = true
+		}
+		if pr.rng != nil {
+			tables[pr.rng] = true
+		}
+		if pr.sel != nil {
+			tables[pr.sel] = true
+		}
+		add(pr.hop)
 	}
 	for _, p := range tp.nodes {
 		for i := range p.levels {
@@ -229,25 +240,72 @@ func probeTables(tp *TreePlan) (tables map[*classTable]bool, probes int) {
 	return tables, probes
 }
 
-// TestSharedPlanProbesBuildOnce: the plans of a tree share one class
-// table per probed atom, although the probed level recurs in the plan
-// of every node below it, and evaluators adopting the TreePlan
+// TestSharedPlanProbesBuildOnce: the plans of a tree share one table
+// per probed atom, although the probed level recurs in the plan of
+// every node below it, and evaluators adopting the TreePlan
 // concurrently build each table exactly once and compute extents and
-// results identical to the naive interpreter's.
+// results identical to the naive interpreter's. The trees cover every
+// table kind: class tables of level and relay probes, range tables of
+// level and relay probes, and a relay-level probe's tables with a
+// first hop (equality) and without one (its shared selection).
 func TestSharedPlanProbesBuildOnce(t *testing.T) {
-	tree := MustParseQuery(`for $p in /r/ppl/p return <o>{` +
-		`for $i in /r/items/item where data($i/@key) = data($p/pid) ` +
-		`and some $w in document()/r/ppl/p satisfies (data($w/pid) = data($i/price)) ` +
-		`return <i>{for $n in $i/tag return $n}</i>}</o>`)
+	inner := func(where string) *Tree {
+		return MustParseQuery(`for $p in /r/ppl/p return <o>{` +
+			`for $i in /r/items/item where ` + where +
+			` return <i>{for $n in $i/tag return $n}</i>}</o>`)
+	}
+	for _, c := range []struct {
+		tree           *Tree
+		tables, probes int
+		kinds          []probeKind
+	}{
+		// A level probe and a relay probe, each in the plans of $i and $n.
+		{inner(`data($i/@key) = data($p/pid) and some $w in document()/r/ppl/p satisfies (data($w/pid) = data($i/price))`),
+			2, 4, []probeKind{probeEq}},
+		// A level range probe, and a relay range probe keyed by $i.
+		{inner(`data($i/price) < data($p/pid) and some $w in document()/r/items/item satisfies (data($w/price) >= data($i/price) * 2)`),
+			2, 4, []probeKind{probeRange}},
+		// A relay-level probe: its first hop's class table (by $p), its
+		// second hop's (over $i's candidates), and the relay's own
+		// probe (by $i).
+		{inner(`some $w in document()/r/ppl/p satisfies (data($w/pid) = data($i/@key) and data($w/pid) = data($p/pid))`),
+			3, 6, []probeKind{probeRelay, probeEq}},
+		// A relay-level probe without a fixed atom: its second hop's
+		// class table, its selection, and the relay's own probe.
+		{inner(`some $w in document()/r/items/item satisfies (data($w/tag) = data($i/tag) and data($w/price) != "x")`),
+			3, 4, []probeKind{probeRelay}},
+	} {
+		checkSharedProbes(t, c.tree, c.tables, c.probes, c.kinds)
+	}
+}
+
+// checkSharedProbes runs TestSharedPlanProbesBuildOnce on one tree,
+// whose plans must hold the given numbers of probes and tables, and
+// level probes (or first hops) of the given kinds.
+func checkSharedProbes(t *testing.T, tree *Tree, wantTables, wantProbes int, kinds []probeKind) {
+	t.Helper()
+	src := tree.XQueryString()
 	ix := NewIndex(fuzzDoc)
 	tp := NewTreePlan(ix, tree)
 	tables, probes := probeTables(tp)
-	if len(tables) != 2 || probes != 4 {
-		t.Fatalf("plan set has %d probes over %d tables, want 4 over 2 (a level probe and a relay probe, each in the plans of $i and $n)", probes, len(tables))
+	if len(tables) != wantTables || probes != wantProbes {
+		t.Fatalf("%s: plan set has %d probes over %d tables, want %d over %d", src, probes, len(tables), wantProbes, wantTables)
+	}
+	for _, k := range kinds {
+		found := false
+		for _, p := range tp.nodes {
+			for i := range p.levels {
+				found = found || (p.levels[i].probe != nil && p.levels[i].probe.kind() == k) ||
+					(p.levels[i].probe != nil && p.levels[i].probe.hop != nil && p.levels[i].probe.hop.kind() == k)
+			}
+		}
+		if !found {
+			t.Fatalf("%s: no level probe of kind %d", src, k)
+		}
 	}
 	var mu sync.Mutex
-	builds := map[*classTable]int{}
-	probeBuilt = func(tab *classTable) {
+	builds := map[probeTable]int{}
+	probeBuilt = func(tab probeTable) {
 		mu.Lock()
 		builds[tab]++
 		mu.Unlock()
@@ -294,11 +352,11 @@ func TestSharedPlanProbesBuildOnce(t *testing.T) {
 	wg.Wait()
 	close(errs)
 	for e := range errs {
-		t.Error(e)
+		t.Errorf("%s: %s", src, e)
 	}
 	for tab := range tables {
 		if builds[tab] != 1 {
-			t.Errorf("class table built %d times, want once", builds[tab])
+			t.Errorf("%s: %T built %d times, want once", src, tab, builds[tab])
 		}
 	}
 }
